@@ -137,9 +137,9 @@ func main() {
 		RetryAfter:   *retry,
 		Store:        store,
 		PeerTimeout:  cfgTimeout,
-		Scrubber:     scrubber,
-		Replicator:   replicator,
 	})
+	scrubber.RegisterMetrics(srv.Registry())
+	replicator.RegisterMetrics(srv.Registry())
 	scrubber.Start()
 	replicator.Start()
 	httpSrv := &http.Server{

@@ -38,9 +38,6 @@ func NewDiskFull(capacity int64) *DiskFull {
 // up the disk").
 func (d *DiskFull) Refill(capacity int64) { d.budget.Store(capacity) }
 
-// Remaining reports the unconsumed byte budget.
-func (d *DiskFull) Remaining() int64 { return d.budget.Load() }
-
 // Fired reports how many writes have failed with the injected ENOSPC.
 func (d *DiskFull) Fired() int64 { return d.stats.get(FaultDiskFull) }
 

@@ -184,8 +184,17 @@ func TestFleetHealsRottedAndFullStores(t *testing.T) {
 	if srep.Corrupt != 3 || srep.Repaired != 3 || srep.RepairFailed != 0 {
 		t.Fatalf("scrub pass = %+v, want 3 corrupt, 3 repaired", srep)
 	}
-	if q := rotted.disk.Quarantines(); q != 3 {
-		t.Fatalf("Quarantines = %d, want 3", q)
+	mresp, err := http.Get(rotted.url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, err := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(scrape), "\nsmtsimd_store_disk_quarantines_total 3\n") {
+		t.Fatalf("rotted daemon /metrics does not report 3 quarantines:\n%s", scrape)
 	}
 	for _, key := range rotKeys {
 		if _, ok := rotted.disk.Get(key); !ok {

@@ -23,9 +23,8 @@ type backend struct {
 	digestBad   atomic.Int64 // responses whose digest failed verification
 	quarantined atomic.Bool  // byzantine: permanently removed from the pool
 
-	latMu    sync.Mutex
-	latSumUs int64 // microseconds of successful requests
-	latCount int64
+	latSumUs atomic.Int64 // microseconds of successful requests
+	latCount atomic.Int64
 
 	probeMu sync.Mutex
 	down    bool   // last health probe failed (distinct from the breaker)
@@ -48,17 +47,8 @@ func normalizeURL(s string) (string, error) {
 
 // observe records one successful request's latency.
 func (b *backend) observe(us int64) {
-	b.latMu.Lock()
-	b.latSumUs += us
-	b.latCount++
-	b.latMu.Unlock()
-}
-
-// latency returns the cumulative latency sum (seconds) and count.
-func (b *backend) latency() (sum float64, count int64) {
-	b.latMu.Lock()
-	defer b.latMu.Unlock()
-	return float64(b.latSumUs) / 1e6, b.latCount
+	b.latSumUs.Add(us)
+	b.latCount.Add(1)
 }
 
 // setProbe records a health-probe outcome.

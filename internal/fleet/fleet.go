@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/resultstore"
 	"repro/internal/runner"
 	"repro/internal/simrun"
@@ -121,6 +122,7 @@ type Client struct {
 	http     *http.Client
 	backends []*backend
 	metrics  clientMetrics
+	reg      *obs.Registry
 
 	stopProbe context.CancelFunc
 	probeDone chan struct{}
@@ -200,7 +202,7 @@ func New(cfg Config) (*Client, error) {
 		}
 	}
 
-	c := &Client{cfg: cfg, http: cfg.HTTPClient}
+	c := &Client{cfg: cfg, http: cfg.HTTPClient, reg: obs.NewRegistry()}
 	if c.http == nil {
 		c.http = &http.Client{}
 	}
@@ -219,6 +221,8 @@ func New(cfg Config) (*Client, error) {
 			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.now),
 		})
 	}
+
+	c.registerMetrics()
 
 	if len(c.backends) > 0 && cfg.ProbeInterval > 0 {
 		ctx, cancel := context.WithCancel(context.Background())

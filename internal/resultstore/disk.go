@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // DefaultDiskMaxBytes bounds a disk store when the caller passes no
@@ -870,37 +872,19 @@ func (d *Disk) Bytes() int64 {
 // MaxBytes reports the configured byte budget.
 func (d *Disk) MaxBytes() int64 { return d.opts.MaxBytes }
 
-// Evictions reports entries evicted by the byte budget.
-func (d *Disk) Evictions() int64 { return d.evictions.Load() }
-
-// Quarantines reports files moved aside as corrupt or truncated.
-func (d *Disk) Quarantines() int64 { return d.quarantines.Load() }
-
-// QuarantineDrops reports quarantined files aged out by the byte cap.
-func (d *Disk) QuarantineDrops() int64 { return d.quarantineDrops.Load() }
-
-// PutErrors reports failed persist attempts.
-func (d *Disk) PutErrors() int64 { return d.putErrors.Load() }
-
-// WriteFaults reports classified write faults (disk full, read-only,
-// permission) observed on the put path.
-func (d *Disk) WriteFaults() int64 { return d.writeFaults.Load() }
-
-// ReadFaults reports classified read faults (I/O error, permission)
-// observed on the get path.
-func (d *Disk) ReadFaults() int64 { return d.readFaults.Load() }
-
-// DegradedPuts reports puts refused while the tier was degraded.
-func (d *Disk) DegradedPuts() int64 { return d.degradedPuts.Load() }
-
-// DegradedGets reports gets refused while the tier was offline.
-func (d *Disk) DegradedGets() int64 { return d.degradedGets.Load() }
-
-// StateTransitions reports state changes (trips and recoveries).
-func (d *Disk) StateTransitions() int64 { return d.transitions.Load() }
-
-// Recoveries reports successful re-arms back to DiskOK.
-func (d *Disk) Recoveries() int64 { return d.recoveries.Load() }
-
 // Dir reports the store root.
 func (d *Disk) Dir() string { return d.dir }
+
+func (d *Disk) registerMetrics(r *obs.Registry) {
+	r.Gauge("smtsimd_store_disk_entries", "Disk-tier result entries resident.", func() int64 { return int64(d.Len()) })
+	r.Gauge("smtsimd_store_disk_bytes", "Disk-tier resident entry bytes.", d.Bytes)
+	r.Gauge("smtsimd_store_disk_max_bytes", "Disk-tier byte budget.", d.MaxBytes)
+	r.Counter("smtsimd_store_disk_evictions_total", "Disk-tier entries evicted by the byte budget.", d.evictions.Load)
+	r.Counter("smtsimd_store_disk_quarantines_total", "Disk-tier files quarantined as corrupt or truncated.", d.quarantines.Load)
+	r.Counter("smtsimd_store_disk_write_faults_total", "Disk-tier writes that failed with a classified fault (ENOSPC, EROFS, permission).", d.writeFaults.Load)
+	r.Counter("smtsimd_store_disk_read_faults_total", "Disk-tier reads that failed with a classified fault (EIO, permission).", d.readFaults.Load)
+	r.Counter("smtsimd_store_disk_degraded_total", "Requests refused because the disk tier was degraded (puts + gets).",
+		func() int64 { return d.degradedPuts.Load() + d.degradedGets.Load() })
+	r.Counter("smtsimd_store_disk_state_transitions_total", "Disk-tier state-machine transitions into a degraded state.", d.transitions.Load)
+	r.Counter("smtsimd_store_disk_recoveries_total", "Disk-tier recovery probes that re-armed a degraded tier.", d.recoveries.Load)
+}

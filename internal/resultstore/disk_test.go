@@ -65,7 +65,7 @@ func TestDiskRefusesUnverifiableEntry(t *testing.T) {
 	if err := d.Put(e); err == nil {
 		t.Fatal("Put accepted an entry whose digest does not verify")
 	}
-	if d.PutErrors() == 0 {
+	if d.putErrors.Load() == 0 {
 		t.Fatal("put error not counted")
 	}
 }
@@ -91,8 +91,8 @@ func TestDiskQuarantinesCorruptFileOnRead(t *testing.T) {
 	if _, ok := d.Get(e.Key); ok {
 		t.Fatal("Get served a corrupted entry")
 	}
-	if d.Quarantines() != 1 {
-		t.Fatalf("Quarantines = %d, want 1", d.Quarantines())
+	if d.quarantines.Load() != 1 {
+		t.Fatalf("Quarantines = %d, want 1", d.quarantines.Load())
 	}
 	if _, err := os.Stat(filepath.Join(dir, quarantineDir, fileFromKey(e.Key))); err != nil {
 		t.Fatalf("corrupt file not preserved in quarantine: %v", err)
@@ -133,7 +133,7 @@ func TestDiskStartupQuarantinesTruncatedAndJunkFiles(t *testing.T) {
 	if _, ok := d2.Get(good.Key); !ok {
 		t.Fatal("good entry lost during quarantine sweep")
 	}
-	if got := d2.Quarantines(); got != 3 {
+	if got := d2.quarantines.Load(); got != 3 {
 		t.Fatalf("Quarantines = %d, want 3 (truncated, empty, junk)", got)
 	}
 	if _, err := os.Stat(filepath.Join(dir, tmpPrefix+"stranded")); !os.IsNotExist(err) {
@@ -249,7 +249,7 @@ func TestDiskEvictsOldestAccessFirst(t *testing.T) {
 	if _, ok := d.Get(keys[0]); !ok {
 		t.Fatal("recently-accessed entry was evicted")
 	}
-	if d.Evictions() == 0 {
+	if d.evictions.Load() == 0 {
 		t.Fatal("eviction not counted")
 	}
 	if d.Bytes() > d.MaxBytes() {

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // Memory is the tier-0 store: a fixed-capacity least-recently-used
@@ -109,8 +111,8 @@ func (c *Memory) Len() int {
 	return c.order.Len()
 }
 
-// Capacity reports the configured entry bound.
-func (c *Memory) Capacity() int { return c.cap }
-
-// Evictions reports how many entries capacity pressure has evicted.
-func (c *Memory) Evictions() int64 { return c.evictions.Load() }
+func (c *Memory) registerMetrics(r *obs.Registry) {
+	r.Gauge("smtsimd_cache_entries", "Memory-tier result entries resident.", func() int64 { return int64(c.Len()) })
+	r.Gauge("smtsimd_cache_capacity", "Memory-tier entry capacity (LRU bound).", func() int64 { return int64(c.cap) })
+	r.Counter("smtsimd_cache_evictions_total", "Memory-tier entries evicted by the LRU capacity bound.", c.evictions.Load)
+}

@@ -23,7 +23,7 @@ func TestMemoryEvictsOldest(t *testing.T) {
 	if got := c.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
 	}
-	if got := c.Evictions(); got != 1 {
+	if got := c.evictions.Load(); got != 1 {
 		t.Fatalf("Evictions = %d, want 1", got)
 	}
 }
@@ -39,7 +39,7 @@ func TestMemoryUpdateInPlace(t *testing.T) {
 	if v.Report != "v2" {
 		t.Fatalf("Report = %q, want v2", v.Report)
 	}
-	if got := c.Evictions(); got != 0 {
+	if got := c.evictions.Load(); got != 0 {
 		t.Fatalf("Evictions = %d, want 0 (update is not eviction)", got)
 	}
 }

@@ -1,71 +1,66 @@
 package resultstore
 
-import "sync/atomic"
+import (
+	"sync/atomic"
 
-// tierIndex maps tier names to counter slots.
-func tierIndex(tier string) int {
-	switch tier {
-	case TierMemory:
-		return 0
-	case TierDisk:
-		return 1
-	case TierPeer:
-		return 2
-	}
-	return -1
-}
+	"repro/internal/obs"
+)
 
-// Tiers lists the tier names in slot order, for metric exporters.
-var Tiers = []string{TierMemory, TierDisk, TierPeer}
+// Counter slots of the per-tier traffic counters, in tiers order.
+const (
+	slotMemory = iota
+	slotDisk
+	slotPeer
+)
+
+// tiers lists the tier names in slot order: the values of the tier
+// label.
+var tiers = []string{TierMemory, TierDisk, TierPeer}
 
 // Metrics counts per-tier traffic through a Tiered store. Hits and
 // misses count tier consultations (one Get can miss several tiers
-// before hitting one); PutErrors counts failed persists.
+// before hitting one); putErrors counts failed persists.
 type Metrics struct {
-	hits      [3]atomic.Int64
-	misses    [3]atomic.Int64
-	putErrors [3]atomic.Int64
-}
-
-func (m *Metrics) hit(tier string) {
-	if i := tierIndex(tier); i >= 0 {
-		m.hits[i].Add(1)
-	}
-}
-
-func (m *Metrics) miss(tier string) {
-	if i := tierIndex(tier); i >= 0 {
-		m.misses[i].Add(1)
-	}
-}
-
-func (m *Metrics) putError(tier string) {
-	if i := tierIndex(tier); i >= 0 {
-		m.putErrors[i].Add(1)
-	}
+	hits, misses, putErrors [3]atomic.Int64
 }
 
 // Hits reports consultations of the named tier that returned a
 // verified entry.
 func (m *Metrics) Hits(tier string) int64 {
-	if i := tierIndex(tier); i >= 0 {
-		return m.hits[i].Load()
+	for i, name := range tiers {
+		if name == tier {
+			return m.hits[i].Load()
+		}
 	}
 	return 0
 }
 
-// Misses reports consultations of the named tier that found nothing.
-func (m *Metrics) Misses(tier string) int64 {
-	if i := tierIndex(tier); i >= 0 {
-		return m.misses[i].Load()
+// RegisterMetrics declares the store's families on r: the memory
+// tier's, the per-tier traffic counters, the disk tier's, and the
+// serving state.
+func (t *Tiered) RegisterMetrics(r *obs.Registry) {
+	if t.mem != nil {
+		t.mem.registerMetrics(r)
 	}
-	return 0
-}
-
-// PutErrors reports failed persists into the named tier.
-func (m *Metrics) PutErrors(tier string) int64 {
-	if i := tierIndex(tier); i >= 0 {
-		return m.putErrors[i].Load()
+	m := &t.metrics
+	r.CounterVec("smtsimd_store_hits_total", "Store lookups served, by tier.", "tier", tiers,
+		func(i int) int64 { return m.hits[i].Load() })
+	r.CounterVec("smtsimd_store_misses_total", "Store lookups missed, by tier.", "tier", tiers,
+		func(i int) int64 { return m.misses[i].Load() })
+	r.CounterVec("smtsimd_store_put_errors_total", "Store writes that failed, by tier.", "tier", tiers,
+		func(i int) int64 { return m.putErrors[i].Load() })
+	if t.disk != nil {
+		t.disk.registerMetrics(r)
 	}
-	return 0
+	// The alert-friendly twin of /healthz store_state.
+	r.Gauge("smtsimd_store_state", "Store serving state: 0 ok, 1 readonly, 2 memory-only.", func() int64 {
+		switch t.State() {
+		case StateOK:
+			return 0
+		case StateReadOnly:
+			return 1
+		default:
+			return 2
+		}
+	})
 }

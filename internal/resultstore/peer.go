@@ -3,12 +3,9 @@ package resultstore
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -34,23 +31,28 @@ type PeerConfig struct {
 	HTTPClient *http.Client
 }
 
+// The negative-lookup cache is bounded in size and in age: a
+// long-lived process must not grow one entry per distinct miss, and a
+// key some peer computed after the miss must reach the peers again.
+const (
+	negativeCacheSize = 4096
+	negativeCacheTTL  = time.Minute
+)
+
 // PeerClient is the tier-2 read path: GET /v1/result/{key} against
 // every peer in parallel, first verified hit wins. Keys that every
-// peer missed are remembered (negative-lookup short-circuit) so a
-// sweep full of new configs pays the peer round-trip once per key, not
-// once per retry. All failures — timeouts, resets, corrupt bodies,
-// digest mismatches — are misses; chaos on the peer path can cost
-// latency, never correctness.
+// peer missed are remembered for negativeCacheTTL (negative-lookup
+// short-circuit) so a sweep full of new configs pays the peer
+// round-trip once per key, not once per retry. All failures —
+// timeouts, resets, corrupt bodies, digest mismatches — are misses;
+// chaos on the peer path can cost latency, never correctness.
 type PeerClient struct {
 	cfg  PeerConfig
 	http *http.Client
+	now  func() time.Time
 
-	neg sync.Map // key -> struct{}: every peer missed, don't re-ask
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	negSkips  atomic.Int64
-	errsTotal atomic.Int64
+	negMu sync.Mutex
+	neg   map[string]time.Time // key -> when every peer missed it
 }
 
 // NewPeerClient builds a tier-2 lookup client over the given peers.
@@ -58,7 +60,7 @@ func NewPeerClient(cfg PeerConfig) *PeerClient {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultPeerTimeout
 	}
-	c := &PeerClient{cfg: cfg, http: cfg.HTTPClient}
+	c := &PeerClient{cfg: cfg, http: cfg.HTTPClient, now: time.Now, neg: make(map[string]time.Time)}
 	if c.http == nil {
 		c.http = &http.Client{}
 	}
@@ -72,8 +74,7 @@ func (p *PeerClient) Lookup(ctx context.Context, key string) (*Entry, bool) {
 	if len(p.cfg.Peers) == 0 || !ValidKey(key) {
 		return nil, false
 	}
-	if _, known := p.neg.Load(key); known {
-		p.negSkips.Add(1)
+	if p.knownMiss(key) {
 		return nil, false
 	}
 
@@ -86,7 +87,7 @@ func (p *PeerClient) Lookup(ctx context.Context, key string) (*Entry, bool) {
 		wg.Add(1)
 		go func(base string) {
 			defer wg.Done()
-			results <- p.fetch(lctx, base, key)
+			results <- getEntry(lctx, p.http, base, key)
 		}(peer)
 	}
 	go func() { wg.Wait(); close(results) }()
@@ -94,81 +95,80 @@ func (p *PeerClient) Lookup(ctx context.Context, key string) (*Entry, bool) {
 	for e := range results {
 		if e != nil {
 			cancel() // losers are abandoned
-			p.hits.Add(1)
 			return e, true
 		}
 	}
-	p.misses.Add(1)
-	p.neg.Store(key, struct{}{})
+	p.rememberMiss(key)
 	return nil, false
 }
 
-// fetch asks one peer; any failure is a nil (miss).
-func (p *PeerClient) fetch(ctx context.Context, base, key string) *Entry {
-	e, err := getEntry(ctx, p.http, base, key)
-	if err != nil {
-		if !errors.Is(err, errPeerMiss) && ctx.Err() == nil {
-			p.errsTotal.Add(1)
-		}
-		return nil
+// knownMiss reports whether every peer missed key within the last
+// negativeCacheTTL.
+func (p *PeerClient) knownMiss(key string) bool {
+	p.negMu.Lock()
+	defer p.negMu.Unlock()
+	at, ok := p.neg[key]
+	if ok && p.now().Sub(at) >= negativeCacheTTL {
+		delete(p.neg, key)
+		return false
 	}
-	return e
+	return ok
 }
 
-// errPeerMiss marks a clean non-200 from a peer (usually 404): the
-// peer answered, it just does not have the key. Distinct from
-// transport and verification failures so callers can count real errors.
-var errPeerMiss = errors.New("resultstore: peer does not have the key")
+// rememberMiss negative-caches key. A full cache drops its oldest
+// entry first, which is an expired one whenever any has expired.
+func (p *PeerClient) rememberMiss(key string) {
+	p.negMu.Lock()
+	defer p.negMu.Unlock()
+	if len(p.neg) >= negativeCacheSize {
+		var oldest string
+		for k, at := range p.neg {
+			if oldest == "" || at.Before(p.neg[oldest]) {
+				oldest = k
+			}
+		}
+		delete(p.neg, oldest)
+	}
+	p.neg[key] = p.now()
+}
 
 // getEntry GETs one entry from one peer's /v1/result/{key} and
-// digest-verifies it before returning. Shared by the lookup client and
-// the replicator; every byte crossing the fleet passes through this
-// verification regardless of which subsystem asked for it.
-func getEntry(ctx context.Context, hc *http.Client, base, key string) (*Entry, error) {
+// digest-verifies it before returning; any failure is a nil (miss).
+// Shared by the lookup client and the replicator; every byte crossing
+// the fleet passes through this verification regardless of which
+// subsystem asked for it.
+func getEntry(ctx context.Context, hc *http.Client, base, key string) *Entry {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/result/"+key, nil)
 	if err != nil {
-		return nil, err
+		return nil
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
-		return nil, err
+		return nil
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-		return nil, errPeerMiss
+		return nil
 	}
 	var e Entry
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&e); err != nil {
-		return nil, err
+		return nil
 	}
 	if e.Key != key || !e.Verify() {
-		return nil, fmt.Errorf("resultstore: peer %s served unverifiable entry for %s", base, key)
+		return nil
 	}
-	return &e, nil
+	return &e
 }
 
 // Forget drops a key from the negative cache (a peer may have it now).
 // The scrubber's repair path calls it before re-asking the fleet for a
 // key whose local copy just rotted.
-func (p *PeerClient) Forget(key string) { p.neg.Delete(key) }
-
-// Timeout reports the configured per-lookup budget (surfaced in
-// /healthz as peer_timeout_ms).
-func (p *PeerClient) Timeout() time.Duration { return p.cfg.Timeout }
+func (p *PeerClient) Forget(key string) {
+	p.negMu.Lock()
+	delete(p.neg, key)
+	p.negMu.Unlock()
+}
 
 // Peers reports the configured peer base URLs.
 func (p *PeerClient) Peers() []string { return p.cfg.Peers }
-
-// Hits reports verified peer hits.
-func (p *PeerClient) Hits() int64 { return p.hits.Load() }
-
-// Misses reports completed lookups where no peer had the key.
-func (p *PeerClient) Misses() int64 { return p.misses.Load() }
-
-// NegativeSkips reports lookups short-circuited by the negative cache.
-func (p *PeerClient) NegativeSkips() int64 { return p.negSkips.Load() }
-
-// Errors reports individual peer requests that failed or returned
-// unverifiable bytes.
-func (p *PeerClient) Errors() int64 { return p.errsTotal.Load() }

@@ -3,6 +3,7 @@ package resultstore
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -33,16 +34,22 @@ func peerServer(t *testing.T, entries map[string]*Entry, requests *atomic.Int64)
 
 func TestPeerLookupFirstVerifiedHitWins(t *testing.T) {
 	e := testEntry("cfg:9999aaaabbbbcccc", 1)
-	empty := peerServer(t, nil, nil)
-	full := peerServer(t, map[string]*Entry{e.Key: e}, nil)
+	var requests atomic.Int64
+	empty := peerServer(t, nil, &requests)
+	full := peerServer(t, map[string]*Entry{e.Key: e}, &requests)
 
 	p := NewPeerClient(PeerConfig{Peers: []string{empty, full}})
 	got, ok := p.Lookup(context.Background(), e.Key)
 	if !ok || got.Digest != e.Digest {
 		t.Fatalf("Lookup = (%v, %v), want the stored entry", got, ok)
 	}
-	if p.Hits() != 1 {
-		t.Fatalf("Hits = %d, want 1", p.Hits())
+	// A hit is not negative-cached: the next lookup asks the peers again.
+	before := requests.Load()
+	if _, ok := p.Lookup(context.Background(), e.Key); !ok {
+		t.Fatal("second Lookup missed")
+	}
+	if requests.Load() == before {
+		t.Fatal("second Lookup never reached a peer")
 	}
 }
 
@@ -50,14 +57,15 @@ func TestPeerLookupRejectsUnverifiableEntry(t *testing.T) {
 	e := testEntry("cfg:dddd0000eeee1111", 2)
 	lie := *e
 	lie.Result.AggregateIPC *= 2 // digest no longer matches
-	peer := peerServer(t, map[string]*Entry{e.Key: &lie}, nil)
+	var requests atomic.Int64
+	peer := peerServer(t, map[string]*Entry{e.Key: &lie}, &requests)
 
 	p := NewPeerClient(PeerConfig{Peers: []string{peer}})
 	if _, ok := p.Lookup(context.Background(), e.Key); ok {
 		t.Fatal("Lookup served an entry whose digest does not verify")
 	}
-	if p.Errors() == 0 {
-		t.Fatal("unverifiable entry not counted as an error")
+	if requests.Load() != 1 {
+		t.Fatalf("peer asked %d times, want 1", requests.Load())
 	}
 }
 
@@ -75,14 +83,54 @@ func TestPeerNegativeLookupShortCircuits(t *testing.T) {
 	if got := requests.Load(); got != 1 {
 		t.Fatalf("peer asked %d times, want 1 (negative cache short-circuit)", got)
 	}
-	if p.NegativeSkips() != 2 {
-		t.Fatalf("NegativeSkips = %d, want 2", p.NegativeSkips())
-	}
 
 	p.Forget(key)
 	p.Lookup(context.Background(), key)
 	if got := requests.Load(); got != 2 {
 		t.Fatalf("Forget did not reopen the key: %d requests", got)
+	}
+}
+
+// TestPeerNegativeCacheExpires: a negative entry lives negativeCacheTTL;
+// after that the key reaches the peers again (one of them may have
+// computed it since).
+func TestPeerNegativeCacheExpires(t *testing.T) {
+	var requests atomic.Int64
+	peer := peerServer(t, nil, &requests)
+	p := NewPeerClient(PeerConfig{Peers: []string{peer}})
+	now := time.Unix(1_000_000, 0)
+	p.now = func() time.Time { return now }
+
+	key := "cfg:7777888899990000"
+	p.Lookup(context.Background(), key)
+	now = now.Add(negativeCacheTTL - time.Second)
+	p.Lookup(context.Background(), key)
+	if got := requests.Load(); got != 1 {
+		t.Fatalf("peer asked %d times inside the TTL, want 1", got)
+	}
+	now = now.Add(time.Second)
+	p.Lookup(context.Background(), key)
+	if got := requests.Load(); got != 2 {
+		t.Fatalf("peer asked %d times after the TTL, want 2 (expired key re-asked)", got)
+	}
+}
+
+// TestPeerNegativeCacheBounded: distinct misses past the bound never
+// grow the cache beyond negativeCacheSize; the oldest entry goes first.
+func TestPeerNegativeCacheBounded(t *testing.T) {
+	p := NewPeerClient(PeerConfig{Peers: []string{"http://unused.invalid"}})
+	now := time.Unix(1_000_000, 0)
+	p.now = func() time.Time { return now }
+	key := func(i int) string { return fmt.Sprintf("cfg:%016x", i) }
+	for i := 0; i < negativeCacheSize+10; i++ {
+		p.rememberMiss(key(i))
+		now = now.Add(time.Millisecond)
+	}
+	if n := len(p.neg); n != negativeCacheSize {
+		t.Fatalf("negative cache holds %d keys, want the bound %d", n, negativeCacheSize)
+	}
+	if p.knownMiss(key(0)) || !p.knownMiss(key(negativeCacheSize+9)) {
+		t.Fatal("a full cache must drop its oldest entry and keep the newest")
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // DefaultReplicateInterval paces anti-entropy rounds when the caller
@@ -292,12 +294,6 @@ func (r *Replicator) pace(ctx context.Context) bool {
 	}
 }
 
-// manifestReply mirrors simserver's GET /v1/store/manifest body.
-type manifestReply struct {
-	State   string          `json:"state"`
-	Entries []ManifestEntry `json:"entries"`
-}
-
 // fetchManifest GETs one peer's manifest as a key set.
 func (r *Replicator) fetchManifest(ctx context.Context, base string) (map[string]bool, error) {
 	mctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
@@ -315,7 +311,7 @@ func (r *Replicator) fetchManifest(ctx context.Context, base string) (map[string
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
 		return nil, fmt.Errorf("resultstore: manifest from %s: HTTP %d", base, resp.StatusCode)
 	}
-	var m manifestReply
+	var m Manifest
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 32<<20)).Decode(&m); err != nil {
 		return nil, err
 	}
@@ -333,11 +329,7 @@ func (r *Replicator) fetchManifest(ctx context.Context, base string) (map[string
 func (r *Replicator) pull(ctx context.Context, base, key string) *Entry {
 	pctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
 	defer cancel()
-	e, err := getEntry(pctx, r.http, base, key)
-	if err != nil {
-		return nil
-	}
-	return e
+	return getEntry(pctx, r.http, base, key)
 }
 
 // push ships one verified entry to one peer's POST /v1/store/push.
@@ -365,20 +357,16 @@ func (r *Replicator) push(ctx context.Context, base string, e *Entry) error {
 	return nil
 }
 
-// Syncs reports completed + in-progress sync rounds.
-func (r *Replicator) Syncs() int64 { return r.syncs.Load() }
-
-// Pulls reports entries fetched from peers.
-func (r *Replicator) Pulls() int64 { return r.pulls.Load() }
-
-// Pushes reports entries shipped to under-replicated peers.
-func (r *Replicator) Pushes() int64 { return r.pushes.Load() }
-
-// PullErrors reports failed pull attempts.
-func (r *Replicator) PullErrors() int64 { return r.pullErrors.Load() }
-
-// PushErrors reports failed push attempts.
-func (r *Replicator) PushErrors() int64 { return r.pushErrors.Load() }
-
-// ManifestErrors reports failed peer manifest exchanges.
-func (r *Replicator) ManifestErrors() int64 { return r.manifestErr.Load() }
+// RegisterMetrics declares the replicator's families on r. A nil
+// replicator declares none.
+func (rp *Replicator) RegisterMetrics(r *obs.Registry) {
+	if rp == nil {
+		return
+	}
+	r.Counter("smtsimd_replication_syncs_total", "Anti-entropy sync rounds started.", rp.syncs.Load)
+	r.Counter("smtsimd_replication_pulls_total", "Missing entries pulled from peers.", rp.pulls.Load)
+	r.Counter("smtsimd_replication_pushes_total", "Under-replicated entries pushed to peers.", rp.pushes.Load)
+	r.Counter("smtsimd_replication_pull_errors_total", "Pull attempts that failed or failed verification.", rp.pullErrors.Load)
+	r.Counter("smtsimd_replication_push_errors_total", "Push attempts a peer refused or dropped.", rp.pushErrors.Load)
+	r.Counter("smtsimd_replication_manifest_errors_total", "Peer manifest exchanges that failed.", rp.manifestErr.Load)
+}

@@ -61,6 +61,15 @@ type ManifestEntry struct {
 	Digest string `json:"digest"`
 }
 
+// Manifest is the GET /v1/store/manifest body: every {key, digest}
+// the local tiers can serve. State rides along so a replicator can log
+// why a peer's manifest shrank (a degraded disk advertises only what
+// RAM holds).
+type Manifest struct {
+	State   string          `json:"state"`
+	Entries []ManifestEntry `json:"entries"`
+}
+
 // Entry is one stored simulation result. Its JSON field set (and
 // order) is exactly the cacheable part of a POST /v1/run response, so
 // serving an entry from any tier is byte-identical to serving the
@@ -137,7 +146,7 @@ func (t *Tiered) Memory() *Memory { return t.mem }
 // Disk returns the tier-1 store, or nil.
 func (t *Tiered) Disk() *Disk { return t.disk }
 
-// Metrics returns the per-tier hit/miss counters.
+// Metrics returns the per-tier traffic counters.
 func (t *Tiered) Metrics() *Metrics { return &t.metrics }
 
 // Get walks the tiers in order and returns the first verified entry
@@ -154,11 +163,11 @@ func (t *Tiered) Get(ctx context.Context, key string) (*Entry, string, bool) {
 	}
 	if t.peer != nil {
 		if e, ok := t.peer.Lookup(ctx, key); ok {
-			t.metrics.hit(TierPeer)
+			t.metrics.hits[slotPeer].Add(1)
 			t.put(e) // backfill the local tiers
 			return e, TierPeer, true
 		}
-		t.metrics.miss(TierPeer)
+		t.metrics.misses[slotPeer].Add(1)
 	}
 	return nil, "", false
 }
@@ -173,20 +182,20 @@ func (t *Tiered) GetLocal(key string) (*Entry, string, bool) {
 	}
 	if t.mem != nil {
 		if e, ok := t.mem.Get(key); ok {
-			t.metrics.hit(TierMemory)
+			t.metrics.hits[slotMemory].Add(1)
 			return e, TierMemory, true
 		}
-		t.metrics.miss(TierMemory)
+		t.metrics.misses[slotMemory].Add(1)
 	}
 	if t.disk != nil {
 		if e, ok := t.disk.Get(key); ok {
-			t.metrics.hit(TierDisk)
+			t.metrics.hits[slotDisk].Add(1)
 			if t.mem != nil {
 				t.mem.Put(e)
 			}
 			return e, TierDisk, true
 		}
-		t.metrics.miss(TierDisk)
+		t.metrics.misses[slotDisk].Add(1)
 	}
 	return nil, "", false
 }
@@ -207,7 +216,7 @@ func (t *Tiered) put(e *Entry) {
 	}
 	if t.disk != nil {
 		if err := t.disk.Put(e); err != nil {
-			t.metrics.putError(TierDisk)
+			t.metrics.putErrors[slotDisk].Add(1)
 		}
 	}
 }

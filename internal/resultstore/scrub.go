@@ -7,6 +7,8 @@ import (
 	"io"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // DefaultScrubInterval paces background scrub passes when the caller
@@ -202,17 +204,15 @@ func (s *Scrubber) repair(ctx context.Context, key string) bool {
 	return true
 }
 
-// Passes reports completed + in-progress scrub passes.
-func (s *Scrubber) Passes() int64 { return s.passes.Load() }
-
-// Scanned reports entries re-read and re-verified across all passes.
-func (s *Scrubber) Scanned() int64 { return s.scanned.Load() }
-
-// Corrupt reports entries that failed verification during scrubs.
-func (s *Scrubber) Corrupt() int64 { return s.corrupt.Load() }
-
-// Repaired reports corrupt entries healed from a peer.
-func (s *Scrubber) Repaired() int64 { return s.repaired.Load() }
-
-// RepairFailed reports corrupt entries no peer could supply.
-func (s *Scrubber) RepairFailed() int64 { return s.repairFailed.Load() }
+// RegisterMetrics declares the scrubber's families on r. A nil
+// scrubber declares none.
+func (s *Scrubber) RegisterMetrics(r *obs.Registry) {
+	if s == nil {
+		return
+	}
+	r.Counter("smtsimd_scrub_passes_total", "Background scrub passes started.", s.passes.Load)
+	r.Counter("smtsimd_scrub_scanned_total", "Entries re-read and re-verified by the scrubber.", s.scanned.Load)
+	r.Counter("smtsimd_scrub_corrupt_total", "Entries the scrubber found corrupt (quarantined).", s.corrupt.Load)
+	r.Counter("smtsimd_scrub_repaired_total", "Corrupt entries re-fetched from a peer and re-persisted.", s.repaired.Load)
+	r.Counter("smtsimd_scrub_repair_failed_total", "Corrupt entries no peer could supply.", s.repairFailed.Load)
+}

@@ -47,8 +47,8 @@ func TestScrubCleanStoreIsNoop(t *testing.T) {
 	if rep.Corrupt != 0 || rep.Repaired != 0 || rep.RepairFailed != 0 || rep.Recovered {
 		t.Fatalf("clean store scrub was not a no-op: %+v", rep)
 	}
-	if d.Quarantines() != 0 {
-		t.Fatalf("clean scrub quarantined %d files", d.Quarantines())
+	if d.quarantines.Load() != 0 {
+		t.Fatalf("clean scrub quarantined %d files", d.quarantines.Load())
 	}
 }
 
@@ -72,8 +72,8 @@ func TestScrubDetectsQuarantinesAndRepairs(t *testing.T) {
 	if rep.Corrupt != 1 || rep.Repaired != 1 || rep.RepairFailed != 0 {
 		t.Fatalf("scrub report = %+v, want 1 corrupt, 1 repaired", rep)
 	}
-	if d.Quarantines() != 1 {
-		t.Fatalf("Quarantines = %d, want 1", d.Quarantines())
+	if d.quarantines.Load() != 1 {
+		t.Fatalf("Quarantines = %d, want 1", d.quarantines.Load())
 	}
 	// The repaired entry serves from disk again, byte-identical.
 	got, ok := d.Get(bad.Key)

@@ -120,8 +120,8 @@ func TestWriteFaultClassification(t *testing.T) {
 				if got := d.State(); got != DiskOK {
 					t.Fatalf("state after unclassified error = %v, want ok", got)
 				}
-				if d.WriteFaults() != 0 {
-					t.Fatalf("WriteFaults = %d for unclassified error, want 0", d.WriteFaults())
+				if d.writeFaults.Load() != 0 {
+					t.Fatalf("WriteFaults = %d for unclassified error, want 0", d.writeFaults.Load())
 				}
 				return
 			}
@@ -132,8 +132,8 @@ func TestWriteFaultClassification(t *testing.T) {
 			if d.StateReason() == "" {
 				t.Fatal("degraded tier reports no state reason")
 			}
-			if d.WriteFaults() != 1 {
-				t.Fatalf("WriteFaults = %d, want 1", d.WriteFaults())
+			if d.writeFaults.Load() != 1 {
+				t.Fatalf("WriteFaults = %d, want 1", d.writeFaults.Load())
 			}
 
 			// Readonly still serves existing entries.
@@ -146,8 +146,8 @@ func TestWriteFaultClassification(t *testing.T) {
 			if err := d.Put(testEntry("cfg:cccc000011112222", 3)); !errors.Is(err, ErrDegraded) {
 				t.Fatalf("Put while degraded = %v, want ErrDegraded", err)
 			}
-			if d.DegradedPuts() != 1 {
-				t.Fatalf("DegradedPuts = %d, want 1", d.DegradedPuts())
+			if d.degradedPuts.Load() != 1 {
+				t.Fatalf("DegradedPuts = %d, want 1", d.degradedPuts.Load())
 			}
 
 			// Fault cleared but interval not elapsed: still degraded.
@@ -164,8 +164,8 @@ func TestWriteFaultClassification(t *testing.T) {
 			if got := d.State(); got != DiskOK {
 				t.Fatalf("state after recovery = %v, want ok", got)
 			}
-			if d.Recoveries() != 1 {
-				t.Fatalf("Recoveries = %d, want 1", d.Recoveries())
+			if d.recoveries.Load() != 1 {
+				t.Fatalf("Recoveries = %d, want 1", d.recoveries.Load())
 			}
 			if d.StateReason() != "" {
 				t.Fatalf("recovered tier still reports reason %q", d.StateReason())
@@ -219,8 +219,8 @@ func TestReadFaultClassification(t *testing.T) {
 			if got := d.State(); got != DiskOffline {
 				t.Fatalf("state after %v = %v, want offline", tc.err, got)
 			}
-			if d.ReadFaults() != 1 {
-				t.Fatalf("ReadFaults = %d, want 1", d.ReadFaults())
+			if d.readFaults.Load() != 1 {
+				t.Fatalf("ReadFaults = %d, want 1", d.readFaults.Load())
 			}
 			if m := d.Manifest(); m != nil {
 				t.Fatalf("offline tier advertised %d entries", len(m))
@@ -230,7 +230,7 @@ func TestReadFaultClassification(t *testing.T) {
 			if _, ok := d.Get(e.Key); ok {
 				t.Fatal("offline tier served an entry")
 			}
-			if d.DegradedGets() == 0 {
+			if d.degradedGets.Load() == 0 {
 				t.Fatal("offline Get was not counted as degraded")
 			}
 
@@ -245,8 +245,8 @@ func TestReadFaultClassification(t *testing.T) {
 			if d.State() != DiskOK {
 				t.Fatalf("state after recovery = %v, want ok", d.State())
 			}
-			if d.Recoveries() != 1 {
-				t.Fatalf("Recoveries = %d, want 1", d.Recoveries())
+			if d.recoveries.Load() != 1 {
+				t.Fatalf("Recoveries = %d, want 1", d.recoveries.Load())
 			}
 		})
 	}
@@ -329,8 +329,8 @@ func TestQuarantineBound(t *testing.T) {
 	d := openTestDisk(t, dir, DiskOptions{QuarantineMaxBytes: 100})
 	defer d.Close()
 
-	if d.QuarantineDrops() != 1 {
-		t.Fatalf("QuarantineDrops = %d, want 1", d.QuarantineDrops())
+	if d.quarantineDrops.Load() != 1 {
+		t.Fatalf("QuarantineDrops = %d, want 1", d.quarantineDrops.Load())
 	}
 	if _, err := os.Stat(qdir + "/oldest.json"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("oldest quarantined file survived the byte cap")

@@ -34,9 +34,9 @@ func TestTieredPromotesDiskHitsToMemory(t *testing.T) {
 		t.Fatalf("second Get served from %q, want promoted memory hit", tier)
 	}
 	m := ts.Metrics()
-	if m.Hits(TierMemory) != 1 || m.Hits(TierDisk) != 1 || m.Misses(TierMemory) != 1 {
+	if m.Hits(TierMemory) != 1 || m.Hits(TierDisk) != 1 || m.misses[slotMemory].Load() != 1 {
 		t.Fatalf("metrics: mem hits=%d disk hits=%d mem misses=%d",
-			m.Hits(TierMemory), m.Hits(TierDisk), m.Misses(TierMemory))
+			m.Hits(TierMemory), m.Hits(TierDisk), m.misses[slotMemory].Load())
 	}
 }
 

@@ -155,7 +155,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-	s.metrics.batchLatency.observe(time.Since(start).Seconds())
+	s.metrics.batchLatency.Observe(time.Since(start).Seconds())
 }
 
 // batchItem resolves one batch config: store hit, coalesce, or lead a

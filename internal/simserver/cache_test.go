@@ -3,6 +3,7 @@ package simserver
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFlightGroupCoalesces(t *testing.T) {
@@ -28,31 +29,30 @@ func TestFlightGroupCoalesces(t *testing.T) {
 }
 
 func TestMetricsPrometheusFormat(t *testing.T) {
-	var m metrics
+	s := New(Config{})
+	m := &s.metrics
 	m.requests.Add(3)
 	m.cacheHits.Add(2)
-	m.observeRunSeconds(0.004)                 // first bucket
-	m.observeRunSeconds(99)                    // +Inf bucket
-	m.batchLatency.observe(0.2)                // lands in le="0.25"
-	m.observeSimThroughput(100000, 25_000_000) // 250 ns/cycle
-	m.observeSimThroughput(200000, 25_000_000) // 125 ns/cycle
-	m.observeSimThroughput(0, 5)               // guarded: no cycles, no observation
+	m.observeRun(4*time.Millisecond, 16_000)  // first bucket, 250 ns/cycle
+	m.observeRun(99*time.Second, 792_000_000) // +Inf bucket, 125 ns/cycle
+	m.observeRun(time.Millisecond, 0)         // guarded: no cycles, no throughput observation
+	m.batchLatency.Observe(0.2)               // lands in le="0.25"
 	var b strings.Builder
-	m.writePrometheus(&b)
+	s.Registry().Write(&b)
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE smtsimd_requests_total counter",
 		"smtsimd_requests_total 3",
 		"smtsimd_cache_hits_total 2",
 		"# TYPE smtsimd_run_seconds histogram",
-		`smtsimd_run_seconds_bucket{le="0.005"} 1`,
-		`smtsimd_run_seconds_bucket{le="+Inf"} 2`,
-		"smtsimd_run_seconds_count 2",
+		`smtsimd_run_seconds_bucket{le="0.005"} 2`,
+		`smtsimd_run_seconds_bucket{le="+Inf"} 3`,
+		"smtsimd_run_seconds_count 3",
 		"# TYPE smtsimd_batch_seconds histogram",
 		`smtsimd_batch_seconds_bucket{le="0.25"} 1`,
 		"smtsimd_batch_seconds_count 1",
 		"# TYPE smtsimd_sim_cycles_total counter",
-		"smtsimd_sim_cycles_total 300000",
+		"smtsimd_sim_cycles_total 792016000",
 		"# TYPE smtsimd_sim_ns_per_cycle summary",
 		"smtsimd_sim_ns_per_cycle_sum 375",
 		"smtsimd_sim_ns_per_cycle_count 2",

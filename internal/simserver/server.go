@@ -16,8 +16,8 @@
 //
 // Endpoints: POST /v1/run, POST /v1/runcfg, POST /v1/batch (NDJSON
 // streaming), GET /v1/result/{key} (peer lookup), GET /v1/mixes,
-// GET /healthz, GET /metrics (Prometheus text format, no external
-// dependencies).
+// GET /healthz, GET /metrics (Prometheus text format from the
+// internal/obs registry, no external dependencies).
 package simserver
 
 import (
@@ -31,10 +31,12 @@ import (
 	"runtime/debug"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/resultstore"
 	"repro/internal/simrun"
 	"repro/internal/trace"
@@ -74,13 +76,56 @@ type Config struct {
 	// /healthz as peer_timeout_ms so operators can confirm what a daemon
 	// is actually running with; 0 means no peer tier is configured.
 	PeerTimeout time.Duration
-	// Scrubber, when set, has its pass/repair counters surfaced in
-	// /healthz and /metrics. The owner (cmd/smtsimd) starts and stops it;
-	// the server only reports.
-	Scrubber *resultstore.Scrubber
-	// Replicator, when set, has its sync/transfer counters surfaced in
-	// /healthz and /metrics. Owned by the caller, like Scrubber.
-	Replicator *resultstore.Replicator
+}
+
+// latencyBuckets are the upper bounds (seconds) of the latency
+// histograms, chosen for simulation runs that take milliseconds to tens
+// of seconds.
+var latencyBuckets = []float64{
+	0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
+}
+
+// metrics are the server's own instrumentation handles; registerMetrics
+// declares their families.
+type metrics struct {
+	requests    atomic.Int64 // POST /v1/run requests received
+	badRequests atomic.Int64 // malformed / invalid config
+	cacheHits   atomic.Int64
+	cacheMisses atomic.Int64
+	coalesced   atomic.Int64 // requests satisfied by another's flight
+	rejected    atomic.Int64 // 429: admission queue full
+	canceled    atomic.Int64 // client gone / per-request timeout
+	runs        atomic.Int64 // simulations actually executed
+	runErrors   atomic.Int64
+	panics      atomic.Int64 // recovered panics (handlers + simulations)
+
+	batchRequests atomic.Int64 // POST /v1/batch requests received
+	batchItems    atomic.Int64 // batch item lines streamed
+
+	pushAccepts atomic.Int64 // POST /v1/store/push entries verified and stored
+	pushRejects atomic.Int64 // pushed entries refused (malformed, bad key, bad digest)
+
+	queueDepth atomic.Int64 // admitted but not yet running
+	inFlight   atomic.Int64 // simulations running now
+
+	runLatency   *obs.Histogram // one observation per executed simulation
+	batchLatency *obs.Histogram // one observation per completed batch stream
+
+	simCycles  atomic.Int64   // simulated cycles completed, incl. fast-forward
+	nsPerCycle *obs.Histogram // summary: one observation per completed simulation
+}
+
+// observeRun records one completed simulation: its latency, and its
+// cycle count and wall-time cost per simulated cycle. cycles includes
+// the fast-forward prefix — that work is simulated whether or not it is
+// measured, and throughput dashboards care about what the CPU did.
+func (m *metrics) observeRun(elapsed time.Duration, cycles int64) {
+	m.runLatency.Observe(elapsed.Seconds())
+	if cycles <= 0 {
+		return
+	}
+	m.simCycles.Add(cycles)
+	m.nsPerCycle.Observe(float64(elapsed.Nanoseconds()) / float64(cycles))
 }
 
 // Server is one simulation service instance. Create with New, expose
@@ -91,6 +136,7 @@ type Server struct {
 	store   *resultstore.Tiered
 	flights *flightGroup
 	metrics metrics
+	reg     *obs.Registry
 
 	admit chan struct{} // admitted flights: waiting + running
 	sem   chan struct{} // running flights
@@ -144,7 +190,13 @@ func New(cfg Config) *Server {
 		sem:     make(chan struct{}, cfg.Workers),
 		baseCtx: ctx,
 		stop:    cancel,
+		reg:     obs.NewRegistry(),
 	}
+	s.metrics.runLatency = obs.NewHistogram(latencyBuckets)
+	s.metrics.batchLatency = obs.NewHistogram(latencyBuckets)
+	s.metrics.nsPerCycle = obs.NewHistogram(nil)
+	s.registerMetrics()
+	cfg.Store.RegisterMetrics(s.reg)
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("POST /v1/runcfg", s.handleRunCfg)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
@@ -153,8 +205,34 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/store/push", s.handlePush)
 	s.mux.HandleFunc("GET /v1/mixes", s.handleMixes)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.Handle("GET /metrics", s.reg)
 	return s
+}
+
+// registerMetrics declares the server's own families, in exposition
+// order.
+func (s *Server) registerMetrics() {
+	m, r := &s.metrics, s.reg
+	r.Counter("smtsimd_requests_total", "POST /v1/run requests received.", m.requests.Load)
+	r.Counter("smtsimd_bad_requests_total", "Requests rejected as malformed or invalid.", m.badRequests.Load)
+	r.Counter("smtsimd_cache_hits_total", "Run requests served from the result cache.", m.cacheHits.Load)
+	r.Counter("smtsimd_cache_misses_total", "Run requests not found in the result cache.", m.cacheMisses.Load)
+	r.Counter("smtsimd_singleflight_coalesced_total", "Run requests coalesced onto another request's simulation.", m.coalesced.Load)
+	r.Counter("smtsimd_rejected_total", "Run requests rejected with 429 (admission queue full).", m.rejected.Load)
+	r.Counter("smtsimd_canceled_total", "Run requests abandoned by client disconnect or timeout.", m.canceled.Load)
+	r.Counter("smtsimd_simulations_total", "Simulations actually executed.", m.runs.Load)
+	r.Counter("smtsimd_simulation_errors_total", "Simulations that returned an error.", m.runErrors.Load)
+	r.Counter("smtsimd_panics_total", "Panics recovered (HTTP handlers and simulation executors); each became a 500 instead of a dead daemon.", m.panics.Load)
+	r.Counter("smtsimd_batch_requests_total", "POST /v1/batch requests received.", m.batchRequests.Load)
+	r.Counter("smtsimd_batch_items_total", "Batch item result lines streamed.", m.batchItems.Load)
+	r.Counter("smtsimd_store_push_accepts_total", "Pushed entries verified and stored (POST /v1/store/push).", m.pushAccepts.Load)
+	r.Counter("smtsimd_store_push_rejects_total", "Pushed entries refused as malformed or unverifiable.", m.pushRejects.Load)
+	r.Gauge("smtsimd_queue_depth", "Run requests admitted and waiting for a worker.", m.queueDepth.Load)
+	r.Gauge("smtsimd_inflight", "Simulations running now.", m.inFlight.Load)
+	r.Histogram("smtsimd_run_seconds", "Simulation run latency.", m.runLatency)
+	r.Histogram("smtsimd_batch_seconds", "POST /v1/batch end-to-end stream latency.", m.batchLatency)
+	r.Counter("smtsimd_sim_cycles_total", "Simulated cycles completed, including fast-forward warmup.", m.simCycles.Load)
+	r.Summary("smtsimd_sim_ns_per_cycle", "Wall-clock nanoseconds per simulated cycle, one observation per completed simulation.", m.nsPerCycle)
 }
 
 // Handler returns the server's HTTP handler, wrapped in panic
@@ -165,6 +243,11 @@ func (s *Server) Handler() http.Handler { return recoverMiddleware(s.mux, &s.met
 // Store exposes the server's tiered result store (owned by the caller
 // when Config.Store was set; see Config).
 func (s *Server) Store() *resultstore.Tiered { return s.store }
+
+// Registry is the daemon's metrics registry, served at /metrics and
+// read by /healthz. It holds the server's and the store's families; the
+// owner of a scrubber or replicator adds theirs (cmd/smtsimd).
+func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // recoverMiddleware converts a handler panic into a 500 response and a
 // metric, and keeps the daemon serving. The response write is
@@ -402,8 +485,7 @@ func (s *Server) execute(key string, f *flight, req simrun.Request, cfg core.Con
 		s.flights.finish(key, f, nil, err)
 		return
 	}
-	s.metrics.observeRunSeconds(elapsed.Seconds())
-	s.metrics.observeSimThroughput(res.Cycles+cfg.FastForward, elapsed.Nanoseconds())
+	s.metrics.observeRun(elapsed, res.Cycles+cfg.FastForward)
 	resp := &runResponse{
 		Key:     key,
 		Request: req,
@@ -509,83 +591,24 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		StoreState:    s.store.State(),
 		PeerTimeoutMS: s.cfg.PeerTimeout.Milliseconds(),
 	}
-	h.Store.State = h.StoreState
-	if mem := s.store.Memory(); mem != nil {
-		h.Store.MemoryEntries = mem.Len()
+	// The store block reads the same registry /metrics renders; a family
+	// that is not registered (no disk tier, no scrubber) reads 0.
+	v := s.reg.Value
+	h.Store = StoreHealth{
+		State:         h.StoreState,
+		MemoryEntries: int(v("smtsimd_cache_entries")),
+		DiskEntries:   int(v("smtsimd_store_disk_entries")),
+		DiskBytes:     v("smtsimd_store_disk_bytes"),
+		Quarantines:   v("smtsimd_store_disk_quarantines_total"),
+		ScrubPasses:   v("smtsimd_scrub_passes_total"),
+		ScrubRepaired: v("smtsimd_scrub_repaired_total"),
+		ReplPulls:     v("smtsimd_replication_pulls_total"),
+		ReplPushes:    v("smtsimd_replication_pushes_total"),
 	}
 	if disk := s.store.Disk(); disk != nil {
 		h.Store.StateReason = disk.StateReason()
-		h.Store.DiskEntries = disk.Len()
-		h.Store.DiskBytes = disk.Bytes()
-		h.Store.Quarantines = disk.Quarantines()
-	}
-	if sc := s.cfg.Scrubber; sc != nil {
-		h.Store.ScrubPasses = sc.Passes()
-		h.Store.ScrubRepaired = sc.Repaired()
-	}
-	if rp := s.cfg.Replicator; rp != nil {
-		h.Store.ReplPulls = rp.Pulls()
-		h.Store.ReplPushes = rp.Pushes()
 	}
 	writeJSON(w, http.StatusOK, h)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.writePrometheus(w)
-	// Store occupancy lives on the server, not the counter struct: the
-	// tiered store is the source of truth, sampled at scrape time.
-	if mem := s.store.Memory(); mem != nil {
-		writeGauge(w, "smtsimd_cache_entries", "Memory-tier result entries resident.", int64(mem.Len()))
-		writeGauge(w, "smtsimd_cache_capacity", "Memory-tier entry capacity (LRU bound).", int64(mem.Capacity()))
-		writeCounter(w, "smtsimd_cache_evictions_total", "Memory-tier entries evicted by the LRU capacity bound.", mem.Evictions())
-	}
-	sm := s.store.Metrics()
-	writeTierCounter(w, "smtsimd_store_hits_total", "Store lookups served, by tier.", sm.Hits)
-	writeTierCounter(w, "smtsimd_store_misses_total", "Store lookups missed, by tier.", sm.Misses)
-	writeTierCounter(w, "smtsimd_store_put_errors_total", "Store writes that failed, by tier.", sm.PutErrors)
-	if disk := s.store.Disk(); disk != nil {
-		writeGauge(w, "smtsimd_store_disk_entries", "Disk-tier result entries resident.", int64(disk.Len()))
-		writeGauge(w, "smtsimd_store_disk_bytes", "Disk-tier resident entry bytes.", disk.Bytes())
-		writeGauge(w, "smtsimd_store_disk_max_bytes", "Disk-tier byte budget.", disk.MaxBytes())
-		writeCounter(w, "smtsimd_store_disk_evictions_total", "Disk-tier entries evicted by the byte budget.", disk.Evictions())
-		writeCounter(w, "smtsimd_store_disk_quarantines_total", "Disk-tier files quarantined as corrupt or truncated.", disk.Quarantines())
-		writeCounter(w, "smtsimd_store_disk_write_faults_total", "Disk-tier writes that failed with a classified fault (ENOSPC, EROFS, permission).", disk.WriteFaults())
-		writeCounter(w, "smtsimd_store_disk_read_faults_total", "Disk-tier reads that failed with a classified fault (EIO, permission).", disk.ReadFaults())
-		writeCounter(w, "smtsimd_store_disk_degraded_total", "Requests refused because the disk tier was degraded (puts + gets).", disk.DegradedPuts()+disk.DegradedGets())
-		writeCounter(w, "smtsimd_store_disk_state_transitions_total", "Disk-tier state-machine transitions into a degraded state.", disk.StateTransitions())
-		writeCounter(w, "smtsimd_store_disk_recoveries_total", "Disk-tier recovery probes that re-armed a degraded tier.", disk.Recoveries())
-	}
-	// Serving state as a gauge: 0 ok, 1 readonly, 2 memory-only — the
-	// alert-friendly twin of /healthz store_state.
-	writeGauge(w, "smtsimd_store_state", "Store serving state: 0 ok, 1 readonly, 2 memory-only.", storeStateValue(s.store.State()))
-	if sc := s.cfg.Scrubber; sc != nil {
-		writeCounter(w, "smtsimd_scrub_passes_total", "Background scrub passes started.", sc.Passes())
-		writeCounter(w, "smtsimd_scrub_scanned_total", "Entries re-read and re-verified by the scrubber.", sc.Scanned())
-		writeCounter(w, "smtsimd_scrub_corrupt_total", "Entries the scrubber found corrupt (quarantined).", sc.Corrupt())
-		writeCounter(w, "smtsimd_scrub_repaired_total", "Corrupt entries re-fetched from a peer and re-persisted.", sc.Repaired())
-		writeCounter(w, "smtsimd_scrub_repair_failed_total", "Corrupt entries no peer could supply.", sc.RepairFailed())
-	}
-	if rp := s.cfg.Replicator; rp != nil {
-		writeCounter(w, "smtsimd_replication_syncs_total", "Anti-entropy sync rounds started.", rp.Syncs())
-		writeCounter(w, "smtsimd_replication_pulls_total", "Missing entries pulled from peers.", rp.Pulls())
-		writeCounter(w, "smtsimd_replication_pushes_total", "Under-replicated entries pushed to peers.", rp.Pushes())
-		writeCounter(w, "smtsimd_replication_pull_errors_total", "Pull attempts that failed or failed verification.", rp.PullErrors())
-		writeCounter(w, "smtsimd_replication_push_errors_total", "Push attempts a peer refused or dropped.", rp.PushErrors())
-		writeCounter(w, "smtsimd_replication_manifest_errors_total", "Peer manifest exchanges that failed.", rp.ManifestErrors())
-	}
-}
-
-// storeStateValue maps a store serving state to its metric gauge value.
-func storeStateValue(state string) int64 {
-	switch state {
-	case resultstore.StateOK:
-		return 0
-	case resultstore.StateReadOnly:
-		return 1
-	default:
-		return 2
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

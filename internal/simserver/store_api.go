@@ -8,14 +8,6 @@ import (
 	"repro/internal/resultstore"
 )
 
-// storeManifest is the GET /v1/store/manifest body: the anti-entropy
-// exchange unit. State rides along so a replicator can log why a peer's
-// manifest shrank (a degraded disk advertises only what RAM holds).
-type storeManifest struct {
-	State   string                      `json:"state"`
-	Entries []resultstore.ManifestEntry `json:"entries"`
-}
-
 // handleManifest is GET /v1/store/manifest: the compact {key, digest}
 // list of everything the local tiers can serve. Replicators diff
 // manifests to find keys to pull and push; the body stays small (tens
@@ -26,7 +18,7 @@ func (s *Server) handleManifest(w http.ResponseWriter, _ *http.Request) {
 	if entries == nil {
 		entries = []resultstore.ManifestEntry{}
 	}
-	writeJSON(w, http.StatusOK, storeManifest{State: s.store.State(), Entries: entries})
+	writeJSON(w, http.StatusOK, resultstore.Manifest{State: s.store.State(), Entries: entries})
 }
 
 // handlePush is POST /v1/store/push: a peer ships one full entry this
