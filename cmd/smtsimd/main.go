@@ -61,11 +61,10 @@ func main() {
 		storeMax = flag.Int64("store-max-bytes", 256<<20, "disk store size bound before oldest-access eviction")
 		quarMax  = flag.Int64("quarantine-max-bytes", resultstore.DefaultQuarantineMaxBytes, "quarantine directory size bound; oldest quarantined files age out past it")
 
-		peersF      = flag.String("peers", "", "comma-separated peer smtsimd base URLs for anti-entropy replication and scrub repair")
-		peerTimeout = flag.Duration("peer-timeout", resultstore.DefaultPeerTimeout, "budget for one whole peer lookup across all peers")
-		replicas    = flag.Int("replicas", resultstore.DefaultReplicas, "with -peers: target fleet-wide copies per result, counting this daemon's")
-		syncEvery   = flag.Duration("sync-interval", resultstore.DefaultReplicateInterval, "with -peers: anti-entropy replication round period")
-		scrubEvery  = flag.Duration("scrub-interval", resultstore.DefaultScrubInterval, "with -store-dir: background integrity scrub period (0 disables)")
+		peersF     = flag.String("peers", "", "comma-separated peer smtsimd base URLs for anti-entropy replication and scrub repair")
+		replicas   = flag.Int("replicas", resultstore.DefaultReplicas, "with -peers: target fleet-wide copies per result, counting this daemon's")
+		syncEvery  = flag.Duration("sync-interval", resultstore.DefaultReplicateInterval, "with -peers: anti-entropy replication round period")
+		scrubEvery = flag.Duration("scrub-interval", resultstore.DefaultScrubInterval, "with -store-dir: background integrity scrub period (0 disables)")
 
 		version = flag.Bool("version", false, "print version and exit")
 	)
@@ -94,28 +93,24 @@ func main() {
 
 	// Self-healing machinery. -peers names the rest of the fleet: the
 	// replicator keeps every result at -replicas copies fleet-wide, and
-	// gives the scrubber somewhere to repair bit-rotted entries from.
-	// The daemon's own request path never fans out to peers (that would
-	// recurse across the fleet); replication converges the stores in the
-	// background instead.
+	// its per-peer fetch is where the scrubber repairs bit-rotted entries
+	// from. The daemon's own request path never fans out to peers (that
+	// would recurse across the fleet); replication converges the stores
+	// in the background instead.
 	var (
-		peerSrc    resultstore.PeerLookup
 		scrubber   *resultstore.Scrubber
 		replicator *resultstore.Replicator
-		cfgTimeout time.Duration
 	)
 	if *peersF != "" {
-		src, err := fleet.NewPeerLookup(strings.Split(*peersF, ","), *peerTimeout)
+		peers, err := fleet.NormalizeURLs(strings.Split(*peersF, ","))
 		if err != nil {
 			fatal(fmt.Errorf("parsing -peers: %w", err))
 		}
-		peerSrc = src
-		cfgTimeout = *peerTimeout
 		if store == nil {
 			store = resultstore.NewTiered(resultstore.NewMemory(*cache), nil, nil)
 		}
 		replicator = resultstore.NewReplicator(store, resultstore.ReplicateConfig{
-			Peers:    src.(*resultstore.PeerClient).Peers(),
+			Peers:    peers,
 			Replicas: *replicas,
 			Interval: *syncEvery,
 			Log:      os.Stderr,
@@ -124,7 +119,7 @@ func main() {
 	if *storeDir != "" && *scrubEvery > 0 {
 		scrubber = resultstore.NewScrubber(store, resultstore.ScrubConfig{
 			Interval: *scrubEvery,
-			Source:   peerSrc, // nil without -peers: detect + quarantine, no repair
+			Source:   replicator.RepairSource(), // nil without -peers: detect + quarantine, no repair
 			Log:      os.Stderr,
 		})
 	}
@@ -136,7 +131,6 @@ func main() {
 		RunTimeout:   *timeout,
 		RetryAfter:   *retry,
 		Store:        store,
-		PeerTimeout:  cfgTimeout,
 	})
 	scrubber.RegisterMetrics(srv.Registry())
 	replicator.RegisterMetrics(srv.Registry())

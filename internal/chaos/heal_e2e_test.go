@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -74,9 +73,9 @@ func TestFleetHealsRottedAndFullStores(t *testing.T) {
 	daemons := []*healDaemon{healthy, rotted, filled}
 
 	// Self-healing wiring: each daemon replicates with the other two
-	// (factor 3 = every daemon holds every result) and scrubs with the
-	// fleet as its repair source. SyncOnce/ScrubOnce are driven by hand
-	// for deterministic convergence instead of waiting on tickers.
+	// (factor 3 = every daemon holds every result) and scrubs with its
+	// replicator as the repair source. SyncOnce/ScrubOnce are driven by
+	// hand for deterministic convergence instead of waiting on tickers.
 	for i, d := range daemons {
 		var others []string
 		for j, o := range daemons {
@@ -84,12 +83,8 @@ func TestFleetHealsRottedAndFullStores(t *testing.T) {
 				others = append(others, o.url)
 			}
 		}
-		src, err := fleet.NewPeerLookup(others, 500*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.scrub = resultstore.NewScrubber(d.store, resultstore.ScrubConfig{Pace: -1, Source: src})
 		d.repl = resultstore.NewReplicator(d.store, resultstore.ReplicateConfig{Peers: others, Replicas: 3, Pace: -1})
+		d.scrub = resultstore.NewScrubber(d.store, resultstore.ScrubConfig{Pace: -1, Source: d.repl.RepairSource()})
 	}
 
 	urls := []string{healthy.url, rotted.url, filled.url}

@@ -32,17 +32,27 @@ type backend struct {
 	store   string // backend-reported store_state ("" = not reported)
 }
 
-// normalizeURL accepts "host:port" or a full URL and returns a base URL
-// without a trailing slash.
-func normalizeURL(s string) (string, error) {
-	s = strings.TrimRight(strings.TrimSpace(s), "/")
-	if s == "" {
-		return "", fmt.Errorf("fleet: empty backend address")
+// NormalizeURLs turns smtsimd addresses ("host:port" or full URLs)
+// into base URLs without a trailing slash, dropping duplicates and
+// keeping first-seen order. An empty address is an error. The client's
+// backend pool, the peer lookup and smtsimd -peers all parse through it.
+func NormalizeURLs(addrs []string) ([]string, error) {
+	urls := make([]string, 0, len(addrs))
+	seen := make(map[string]bool, len(addrs))
+	for _, raw := range addrs {
+		u := strings.TrimRight(strings.TrimSpace(raw), "/")
+		if u == "" {
+			return nil, fmt.Errorf("fleet: empty backend address")
+		}
+		if !strings.Contains(u, "://") {
+			u = "http://" + u
+		}
+		if !seen[u] {
+			seen[u] = true
+			urls = append(urls, u)
+		}
 	}
-	if !strings.Contains(s, "://") {
-		s = "http://" + s
-	}
-	return s, nil
+	return urls, nil
 }
 
 // observe records one successful request's latency.

@@ -23,17 +23,9 @@ import (
 // and treats all failures as misses, so it is safe to consult before
 // every dispatch.
 func NewPeerLookup(backends []string, timeout time.Duration) (resultstore.PeerLookup, error) {
-	urls := make([]string, 0, len(backends))
-	seen := make(map[string]bool)
-	for _, raw := range backends {
-		u, err := normalizeURL(raw)
-		if err != nil {
-			return nil, err
-		}
-		if !seen[u] {
-			seen[u] = true
-			urls = append(urls, u)
-		}
+	urls, err := NormalizeURLs(backends)
+	if err != nil {
+		return nil, err
 	}
 	return resultstore.NewPeerClient(resultstore.PeerConfig{Peers: urls, Timeout: timeout}), nil
 }

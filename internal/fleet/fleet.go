@@ -206,16 +206,11 @@ func New(cfg Config) (*Client, error) {
 	if c.http == nil {
 		c.http = &http.Client{}
 	}
-	seen := make(map[string]bool)
-	for _, raw := range cfg.Backends {
-		u, err := normalizeURL(raw)
-		if err != nil {
-			return nil, err
-		}
-		if seen[u] {
-			continue
-		}
-		seen[u] = true
+	urls, err := NormalizeURLs(cfg.Backends)
+	if err != nil {
+		return nil, err
+	}
+	for _, u := range urls {
 		c.backends = append(c.backends, &backend{
 			url:     u,
 			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.now),

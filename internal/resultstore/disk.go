@@ -94,6 +94,9 @@ var ErrDegraded = errors.New("resultstore: disk tier degraded")
 // entries as plain misses).
 var ErrCorrupt = errors.New("resultstore: entry failed integrity verification")
 
+// errClosed reports an operation on a closed disk tier.
+var errClosed = errors.New("resultstore: store closed")
+
 // DiskOps is the seam over the os calls the disk tier makes. Tests
 // inject failing implementations to drive the degraded-state machine
 // (ENOSPC, EROFS, permission) without needing a hostile filesystem;
@@ -398,61 +401,8 @@ func (d *Disk) Get(key string) (*Entry, bool) {
 			return nil, false
 		}
 	}
-	e, tripErr, ok := d.getLocked(key)
-	if tripErr != nil {
-		d.readFaults.Add(1)
-		d.trip(DiskOffline, tripErr)
-	}
-	return e, ok
-}
-
-// getLocked is the mutex-holding body of Get. It never trips the state
-// machine itself (lock ordering: mu must not take stateMu); a
-// classified read fault is returned for the caller to act on.
-func (d *Disk) getLocked(key string) (e *Entry, tripErr error, ok bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.open {
-		return nil, nil, false
-	}
-	ent, found := d.index[key]
-	if !found {
-		return nil, nil, false
-	}
-	path := filepath.Join(d.dir, fileFromKey(key))
-	raw, err := d.ops.ReadFile(path)
-	if err != nil {
-		if isReadFault(err) {
-			// The file is probably fine; the filesystem is sick. Keep the
-			// index entry — the post-recovery rescan decides its fate.
-			return nil, err, false
-		}
-		delete(d.index, key)
-		d.bytes -= ent.size
-		return nil, nil, false
-	}
-	var got Entry
-	if !verifyRecord(raw, key, &got) {
-		d.quarantine(path, "failed integrity verification")
-		delete(d.index, key)
-		d.bytes -= ent.size
-		return nil, nil, false
-	}
-	ent.access = d.seq
-	d.seq++
-	return &got, nil, true
-}
-
-// verifyRecord checks raw against the whole-record checksum and the
-// entry's result digest, decoding into e on success.
-func verifyRecord(raw []byte, key string, e *Entry) bool {
-	var rec diskRecord
-	if err := json.Unmarshal(raw, &rec); err != nil ||
-		recordSum(rec.Entry) != rec.SHA256 ||
-		json.Unmarshal(rec.Entry, e) != nil || e.Key != key || !e.Verify() {
-		return false
-	}
-	return true
+	e, err := d.read(key, true)
+	return e, err == nil
 }
 
 // Check re-reads and re-verifies one entry without promoting its
@@ -468,43 +418,71 @@ func (d *Disk) Check(key string) error {
 	if DiskState(d.state.Load()) == DiskOffline {
 		return ErrDegraded
 	}
-	err, tripErr := d.checkLocked(key)
-	if tripErr != nil {
-		d.readFaults.Add(1)
-		d.trip(DiskOffline, tripErr)
-		return ErrDegraded
-	}
+	_, err := d.read(key, false)
 	return err
 }
 
-func (d *Disk) checkLocked(key string) (result, tripErr error) {
+// read is the one read → verify → quarantine body behind Get and
+// Check; touch selects whether a verified read advances the access
+// clock. A classified read fault trips the tier offline (after the
+// index lock is released: mu must not take stateMu) and reports
+// ErrDegraded.
+func (d *Disk) read(key string, touch bool) (*Entry, error) {
+	e, err, tripErr := d.readLocked(key, touch)
+	if tripErr != nil {
+		d.readFaults.Add(1)
+		d.trip(DiskOffline, tripErr)
+		return nil, ErrDegraded
+	}
+	return e, err
+}
+
+func (d *Disk) readLocked(key string, touch bool) (e *Entry, err, tripErr error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.open {
-		return errors.New("resultstore: store closed"), nil
+		return nil, errClosed, nil
 	}
-	ent, ok := d.index[key]
-	if !ok {
-		return os.ErrNotExist, nil
+	ent, found := d.index[key]
+	if !found {
+		return nil, os.ErrNotExist, nil
 	}
 	path := filepath.Join(d.dir, fileFromKey(key))
 	raw, err := d.ops.ReadFile(path)
 	if err != nil {
 		if isReadFault(err) {
-			return nil, err
+			// The file is probably fine; the filesystem is sick. Keep the
+			// index entry — the post-recovery rescan decides its fate.
+			return nil, nil, err
 		}
 		delete(d.index, key)
 		d.bytes -= ent.size
-		return os.ErrNotExist, nil
+		return nil, os.ErrNotExist, nil
 	}
 	var got Entry
 	if !verifyRecord(raw, key, &got) {
-		d.quarantine(path, "failed integrity verification (scrub)")
+		d.quarantine(path, "failed integrity verification")
 		delete(d.index, key)
 		d.bytes -= ent.size
-		return ErrCorrupt, nil
+		return nil, ErrCorrupt, nil
 	}
-	return nil, nil
+	if touch {
+		ent.access = d.seq
+		d.seq++
+	}
+	return &got, nil, nil
+}
+
+// verifyRecord checks raw against the whole-record checksum and the
+// entry's result digest, decoding into e on success.
+func verifyRecord(raw []byte, key string, e *Entry) bool {
+	var rec diskRecord
+	if err := json.Unmarshal(raw, &rec); err != nil ||
+		recordSum(rec.Entry) != rec.SHA256 ||
+		json.Unmarshal(rec.Entry, e) != nil || e.Key != key || !e.Verify() {
+		return false
+	}
+	return true
 }
 
 // Put writes the entry atomically: canonical JSON into a temp file,
@@ -558,7 +536,7 @@ func (d *Disk) Put(e *Entry) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.open {
-		return errors.New("resultstore: store closed")
+		return errClosed
 	}
 	if old, ok := d.index[e.Key]; ok {
 		d.bytes -= old.size

@@ -13,8 +13,7 @@ import (
 // passes no budget. Peer lookups are an optimization on the way to a
 // simulation, so the default is deliberately tight: a slow peer must
 // never cost more than the simulation it would have saved. Deployments
-// with slower networks raise it (-peer-timeout on smtsimd and
-// adts-sweep).
+// with slower networks raise it (adts-sweep -peer-timeout).
 const DefaultPeerTimeout = 500 * time.Millisecond
 
 // PeerConfig tunes a PeerClient. Zero values select the documented
@@ -160,15 +159,3 @@ func getEntry(ctx context.Context, hc *http.Client, base, key string) *Entry {
 	}
 	return &e
 }
-
-// Forget drops a key from the negative cache (a peer may have it now).
-// The scrubber's repair path calls it before re-asking the fleet for a
-// key whose local copy just rotted.
-func (p *PeerClient) Forget(key string) {
-	p.negMu.Lock()
-	delete(p.neg, key)
-	p.negMu.Unlock()
-}
-
-// Peers reports the configured peer base URLs.
-func (p *PeerClient) Peers() []string { return p.cfg.Peers }

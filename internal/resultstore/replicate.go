@@ -87,8 +87,7 @@ type Replicator struct {
 	pushErrors  atomic.Int64
 	manifestErr atomic.Int64
 
-	cancel context.CancelFunc
-	done   chan struct{}
+	loop maintLoop
 }
 
 // NewReplicator builds a replicator over the store for the given peer
@@ -118,38 +117,46 @@ func NewReplicator(store *Tiered, cfg ReplicateConfig) *Replicator {
 
 // Start launches the background loop: one sync round per interval,
 // first round after one interval (a booting fleet should serve before
-// it replicates). Stop cancels and waits.
+// it replicates).
 func (r *Replicator) Start() {
-	if r == nil || r.cancel != nil {
-		return
+	if r != nil {
+		r.loop.start(r.cfg.Interval, func(ctx context.Context) { r.SyncOnce(ctx) })
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	r.cancel = cancel
-	r.done = make(chan struct{})
-	go func() {
-		defer close(r.done)
-		t := time.NewTicker(r.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				r.SyncOnce(ctx)
-			}
-		}
-	}()
 }
 
 // Stop cancels the background loop (mid-round transfers abort at the
 // next pacing point) and waits for it to exit. Safe without Start.
 func (r *Replicator) Stop() {
-	if r == nil || r.cancel == nil {
-		return
+	if r != nil {
+		r.loop.stop()
 	}
-	r.cancel()
-	<-r.done
-	r.cancel = nil
+}
+
+// Lookup fetches one digest-verified entry from the first configured
+// peer that serves it, asking them in order, each under the per-exchange
+// Timeout. Every failure is a miss. It is the scrubber's repair source
+// in smtsimd: the same per-peer fetch a sync round pulls through.
+func (r *Replicator) Lookup(ctx context.Context, key string) (*Entry, bool) {
+	if !ValidKey(key) {
+		return nil, false
+	}
+	for _, peer := range r.cfg.Peers {
+		if e := r.pull(ctx, peer, key); e != nil {
+			return e, true
+		}
+	}
+	return nil, false
+}
+
+// RepairSource returns r as a scrub repair source (ScrubConfig.Source),
+// or a nil PeerLookup when r is nil, so a daemon without peers gives its
+// scrubber no source instead of a non-nil interface holding a nil
+// replicator.
+func (r *Replicator) RepairSource() PeerLookup {
+	if r == nil {
+		return nil
+	}
+	return r
 }
 
 // SyncOnce runs one full anti-entropy round synchronously: manifest
@@ -204,7 +211,7 @@ func (r *Replicator) SyncOnce(ctx context.Context) SyncReport {
 	}
 	sort.Strings(missing)
 	for _, key := range missing {
-		if !r.pace(ctx) {
+		if !pace(ctx, r.cfg.Pace) {
 			return rep
 		}
 		pulled := false
@@ -256,7 +263,7 @@ func (r *Replicator) SyncOnce(ctx context.Context) SyncReport {
 			if peerHas[i] == nil || peerHas[i][key] {
 				continue
 			}
-			if !r.pace(ctx) {
+			if !pace(ctx, r.cfg.Pace) {
 				return rep
 			}
 			if err := r.push(ctx, peer, e); err != nil {
@@ -276,22 +283,6 @@ func (r *Replicator) SyncOnce(ctx context.Context) SyncReport {
 			rep.PeersSeen, len(r.cfg.Peers), rep.Pulled, rep.PullErrors, rep.Pushed, rep.PushErrors)
 	}
 	return rep
-}
-
-// pace is the rate limit and cancellation point between transfers.
-func (r *Replicator) pace(ctx context.Context) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	if r.cfg.Pace <= 0 {
-		return true
-	}
-	select {
-	case <-ctx.Done():
-		return false
-	case <-time.After(r.cfg.Pace):
-		return true
-	}
 }
 
 // fetchManifest GETs one peer's manifest as a key set.
@@ -324,8 +315,9 @@ func (r *Replicator) fetchManifest(ctx context.Context, base string) (map[string
 	return has, nil
 }
 
-// pull fetches one missing entry from one peer, digest-verified; any
-// failure returns nil.
+// pull fetches one entry from one peer, digest-verified, under the
+// per-exchange timeout; any failure returns nil. Sync rounds and Lookup
+// both fetch through it.
 func (r *Replicator) pull(ctx context.Context, base, key string) *Entry {
 	pctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
 	defer cancel()

@@ -33,7 +33,8 @@ type ScrubConfig struct {
 	Pace time.Duration
 	// Source, when non-nil, is where corrupt entries are repaired from:
 	// the scrubber re-fetches a quarantined key from the fleet and
-	// re-persists it, turning detect-and-drop into detect-and-heal. Nil
+	// re-persists it, turning detect-and-drop into detect-and-heal.
+	// smtsimd passes its Replicator (see Replicator.RepairSource). Nil
 	// leaves corrupt entries quarantined (the next Get re-simulates).
 	Source PeerLookup
 	// Log receives per-pass summaries when anything was found; nil
@@ -67,8 +68,7 @@ type Scrubber struct {
 	repaired     atomic.Int64
 	repairFailed atomic.Int64
 
-	cancel context.CancelFunc
-	done   chan struct{}
+	loop maintLoop
 }
 
 // NewScrubber builds a scrubber over the store's disk tier. The store
@@ -86,42 +86,22 @@ func NewScrubber(store *Tiered, cfg ScrubConfig) *Scrubber {
 	return &Scrubber{store: store, cfg: cfg}
 }
 
-// Start launches the background loop. The first pass runs one interval
-// after Start, not immediately: startup already structurally scanned
-// the directory, and a daemon coming up under load should serve first,
-// scrub later. Stop cancels the loop and waits for it.
+// Start launches the background loop: one pass per interval, the first
+// one interval after Start (startup already structurally scanned the
+// directory, and a daemon coming up under load should serve first).
 func (s *Scrubber) Start() {
-	if s == nil || s.cancel != nil {
-		return
+	if s != nil {
+		s.loop.start(s.cfg.Interval, func(ctx context.Context) { s.ScrubOnce(ctx) })
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s.cancel = cancel
-	s.done = make(chan struct{})
-	go func() {
-		defer close(s.done)
-		t := time.NewTicker(s.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				s.ScrubOnce(ctx)
-			}
-		}
-	}()
 }
 
-// Stop cancels the background loop (including a pass in progress; the
-// per-entry pacing points are cancellation points) and waits for it to
+// Stop cancels the background loop, including a pass in progress (the
+// per-entry pacing points are cancellation points), and waits for it to
 // exit. Safe to call without Start, and more than once.
 func (s *Scrubber) Stop() {
-	if s == nil || s.cancel == nil {
-		return
+	if s != nil {
+		s.loop.stop()
 	}
-	s.cancel()
-	<-s.done
-	s.cancel = nil
 }
 
 // ScrubOnce runs one full pass synchronously: re-arm probe for a
@@ -169,12 +149,8 @@ func (s *Scrubber) ScrubOnce(ctx context.Context) ScrubReport {
 			// The tier went down mid-pass; the next pass re-probes.
 			return rep
 		}
-		if s.cfg.Pace > 0 {
-			select {
-			case <-ctx.Done():
-				return rep
-			case <-time.After(s.cfg.Pace):
-			}
+		if !pace(ctx, s.cfg.Pace) {
+			return rep
 		}
 	}
 	if rep.Corrupt > 0 || rep.Recovered {
@@ -185,16 +161,11 @@ func (s *Scrubber) ScrubOnce(ctx context.Context) ScrubReport {
 }
 
 // repair re-fetches one quarantined key from the repair source and
-// re-persists it through the tiered store (memory + disk), verifying
-// the digest end to end. The key is dropped from the source's negative
-// cache first: the local copy just rotted, so a previous "no peer had
-// it" answer is stale.
+// re-persists it through the tiered store (memory + disk). The source
+// digest-verifies what it returns.
 func (s *Scrubber) repair(ctx context.Context, key string) bool {
 	if s.cfg.Source == nil {
 		return false
-	}
-	if f, ok := s.cfg.Source.(interface{ Forget(string) }); ok {
-		f.Forget(key)
 	}
 	e, ok := s.cfg.Source.Lookup(ctx, key)
 	if !ok {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -153,4 +154,74 @@ func TestScrubberStartStop(t *testing.T) {
 	s.Start()
 	s.Stop()
 	s.Stop() // idempotent
+}
+
+// TestScrubRepairsThroughReplicator drives the smtsimd wiring: the
+// scrubber's repair source is the replicator's per-peer fetch (or no
+// source at all when the daemon has no peers).
+func TestScrubRepairsThroughReplicator(t *testing.T) {
+	// rottedStore holds one entry whose disk file has rotted and whose
+	// RAM copy is gone, so only a repair can bring it back.
+	rottedStore := func(t *testing.T) (*Tiered, *Disk, *Entry) {
+		dir := t.TempDir()
+		d := openTestDisk(t, dir, DiskOptions{})
+		t.Cleanup(func() { d.Close() })
+		st := NewTiered(NewMemory(8), d, nil)
+		bad := testEntry("cfg:bbbb000011112222", 2)
+		st.Put(bad)
+		st.Memory().Remove(bad.Key)
+		rotFile(t, filepath.Join(dir, fileFromKey(bad.Key)))
+		return st, d, bad
+	}
+
+	t.Run("second peer serves", func(t *testing.T) {
+		st, d, bad := rottedStore(t)
+		var asked atomic.Int64
+		missing := peerServer(t, nil, &asked)
+		holder := peerServer(t, map[string]*Entry{bad.Key: testEntry(bad.Key, 2)}, &asked)
+		r := NewReplicator(st, ReplicateConfig{Peers: []string{missing, holder}, Pace: -1})
+
+		rep := NewScrubber(st, ScrubConfig{Pace: -1, Source: r.RepairSource()}).ScrubOnce(context.Background())
+		if rep.Corrupt != 1 || rep.Repaired != 1 || rep.RepairFailed != 0 {
+			t.Fatalf("scrub report = %+v, want 1 corrupt, 1 repaired", rep)
+		}
+		if asked.Load() != 2 {
+			t.Fatalf("peers asked %d times, want 2 (404, then the holder)", asked.Load())
+		}
+		if got, ok := d.Get(bad.Key); !ok || got.Digest != bad.Digest {
+			t.Fatal("repaired entry does not serve from disk")
+		}
+	})
+
+	t.Run("only peer lies", func(t *testing.T) {
+		st, d, bad := rottedStore(t)
+		lie := *testEntry(bad.Key, 2)
+		lie.Result.AggregateIPC *= 2 // digest no longer matches
+		r := NewReplicator(st, ReplicateConfig{Peers: []string{peerServer(t, map[string]*Entry{bad.Key: &lie}, nil)}, Pace: -1})
+
+		rep := NewScrubber(st, ScrubConfig{Pace: -1, Source: r.RepairSource()}).ScrubOnce(context.Background())
+		if rep.Corrupt != 1 || rep.Repaired != 0 || rep.RepairFailed != 1 {
+			t.Fatalf("scrub report = %+v, want 1 corrupt, 1 repair-failed", rep)
+		}
+		if d.Len() != 0 || st.Memory().Len() != 0 {
+			t.Fatalf("an unverifiable body was stored: disk %d, memory %d entries", d.Len(), st.Memory().Len())
+		}
+	})
+
+	t.Run("no peers", func(t *testing.T) {
+		st, d, _ := rottedStore(t)
+		var r *Replicator // smtsimd -store-dir without -peers
+		src := r.RepairSource()
+		if src != nil {
+			t.Fatalf("nil replicator became a non-nil repair source %#v", src)
+		}
+
+		rep := NewScrubber(st, ScrubConfig{Pace: -1, Source: src}).ScrubOnce(context.Background())
+		if rep.Corrupt != 1 || rep.Repaired != 0 || rep.RepairFailed != 1 {
+			t.Fatalf("scrub report = %+v, want 1 corrupt, 1 repair-failed", rep)
+		}
+		if d.quarantines.Load() != 1 {
+			t.Fatalf("Quarantines = %d, want 1", d.quarantines.Load())
+		}
+	})
 }

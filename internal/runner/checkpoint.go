@@ -132,7 +132,12 @@ func OpenWith(path string, opts CheckpointOptions) (*Checkpoint, error) {
 }
 
 // parseLine decodes one checkpoint line in either format: the current
-// CRC-prefixed form "%08x <json>" or a legacy bare-JSON line.
+// CRC-prefixed form "%08x <json>" or a legacy bare-JSON line. Legacy
+// lines are kept on purpose: accepting them changes no file format and
+// lets checkpoints written before the CRC prefix still resume (pinned
+// by TestLegacyPlainLinesStillParse). A line that starts with eight hex
+// digits and a space must match that CRC; it is never retried as
+// legacy JSON.
 func parseLine(line []byte) (Entry, error) {
 	if len(line) > 9 && line[8] == ' ' {
 		if crc, err := strconv.ParseUint(string(line[:8]), 16, 32); err == nil {

@@ -162,22 +162,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // new flight with blocking admission. It always returns a line; errors
 // ride in the line instead of failing the stream.
 func (s *Server) batchItem(r *http.Request, idx int, key string, cfg core.Config) batchLine {
-	if e, _, ok := s.store.Get(r.Context(), key); ok {
-		s.metrics.cacheHits.Add(1)
-		return batchLine{Index: idx, Key: key, Result: &e.Result, Digest: e.Digest, Cached: true}
+	e, f, coalesced := s.resolve(r.Context(), key, simrun.Request{}, cfg, true)
+	if f != nil {
+		<-f.done
+		if f.err != nil {
+			return batchLine{Index: idx, Key: key, Error: f.err.Error()}
+		}
+		e = f.val
 	}
-	s.metrics.cacheMisses.Add(1)
-
-	f, leader := s.flights.join(key)
-	if leader {
-		s.wg.Add(1)
-		go s.execute(key, f, simrun.Request{}, cfg, true)
-	} else {
-		s.metrics.coalesced.Add(1)
-	}
-	<-f.done
-	if f.err != nil {
-		return batchLine{Index: idx, Key: key, Error: f.err.Error()}
-	}
-	return batchLine{Index: idx, Key: key, Result: &f.val.Result, Digest: f.val.Digest, Coalesced: !leader}
+	return batchLine{Index: idx, Key: key, Result: &e.Result, Digest: e.Digest, Cached: f == nil, Coalesced: coalesced}
 }

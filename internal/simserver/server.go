@@ -72,10 +72,6 @@ type Config struct {
 	// MaxBatchItems bounds one POST /v1/batch request; <= 0 selects
 	// 4096.
 	MaxBatchItems int
-	// PeerTimeout is the store's tier-2 peer-lookup budget, surfaced in
-	// /healthz as peer_timeout_ms so operators can confirm what a daemon
-	// is actually running with; 0 means no peer tier is configured.
-	PeerTimeout time.Duration
 }
 
 // latencyBuckets are the upper bounds (seconds) of the latency
@@ -320,30 +316,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	key := simrun.Key(cfg)
-
-	if resp, _, ok := s.store.Get(r.Context(), key); ok {
-		s.metrics.cacheHits.Add(1)
-		w.Header().Set("X-Result-Digest", resp.Digest)
-		writeJSON(w, http.StatusOK, runReply{runResponse: resp, Cached: true})
-		return
-	}
-	s.metrics.cacheMisses.Add(1)
-
-	f, leader := s.flights.join(key)
-	if leader {
-		s.wg.Add(1)
-		go s.execute(key, f, req.Normalize(), cfg, false)
-	} else {
-		s.metrics.coalesced.Add(1)
-	}
-
-	resp, ok := s.await(w, r, f)
-	if !ok {
-		return
+	resp, f, coalesced := s.resolve(r.Context(), simrun.Key(cfg), req.Normalize(), cfg, false)
+	if f != nil {
+		var ok bool
+		if resp, ok = s.await(w, r, f); !ok {
+			return
+		}
 	}
 	w.Header().Set("X-Result-Digest", resp.Digest)
-	writeJSON(w, http.StatusOK, runReply{runResponse: resp, Coalesced: !leader})
+	writeJSON(w, http.StatusOK, runReply{runResponse: resp, Cached: f == nil, Coalesced: coalesced})
 }
 
 // runCfgReply is the POST /v1/runcfg response: the structured result
@@ -392,28 +373,38 @@ func (s *Server) handleRunCfg(w http.ResponseWriter, r *http.Request) {
 	}
 	key := "cfg:" + simrun.Key(cfg)
 
-	if resp, _, ok := s.store.Get(r.Context(), key); ok {
+	resp, f, coalesced := s.resolve(r.Context(), key, simrun.Request{}, cfg, false)
+	if f != nil {
+		var ok bool
+		if resp, ok = s.await(w, r, f); !ok {
+			return
+		}
+	}
+	w.Header().Set("X-Result-Digest", resp.Digest)
+	writeJSON(w, http.StatusOK, runCfgReply{Key: key, Result: resp.Result, Digest: resp.Digest, Cached: f == nil, Coalesced: coalesced})
+}
+
+// resolve is the one step from a validated config to its result that
+// /v1/run, /v1/runcfg and every batch item share: a store hit returns
+// the entry (f nil); otherwise the caller gets the flight to wait on —
+// joined (coalesced) or newly led, whose leader executes it detached
+// under the blockAdmission discipline (see execute). Each caller keeps
+// its own decode, wait and reply shape.
+func (s *Server) resolve(ctx context.Context, key string, req simrun.Request, cfg core.Config, blockAdmission bool) (hit *runResponse, f *flight, coalesced bool) {
+	if e, _, ok := s.store.Get(ctx, key); ok {
 		s.metrics.cacheHits.Add(1)
-		w.Header().Set("X-Result-Digest", resp.Digest)
-		writeJSON(w, http.StatusOK, runCfgReply{Key: key, Result: resp.Result, Digest: resp.Digest, Cached: true})
-		return
+		return e, nil, false
 	}
 	s.metrics.cacheMisses.Add(1)
 
 	f, leader := s.flights.join(key)
 	if leader {
 		s.wg.Add(1)
-		go s.execute(key, f, simrun.Request{}, cfg, false)
+		go s.execute(key, f, req, cfg, blockAdmission)
 	} else {
 		s.metrics.coalesced.Add(1)
 	}
-
-	resp, ok := s.await(w, r, f)
-	if !ok {
-		return
-	}
-	w.Header().Set("X-Result-Digest", resp.Digest)
-	writeJSON(w, http.StatusOK, runCfgReply{Key: key, Result: resp.Result, Digest: resp.Digest, Coalesced: !leader})
+	return nil, f, !leader
 }
 
 // await blocks until flight f settles or the caller disconnects. It
@@ -559,9 +550,6 @@ type Health struct {
 	StoreState string `json:"store_state"`
 	// Store is the per-tier store detail for operators and runbooks.
 	Store StoreHealth `json:"store"`
-	// PeerTimeoutMS echoes the configured tier-2 peer-lookup budget
-	// (-peer-timeout); 0 when no peer tier is configured.
-	PeerTimeoutMS int64 `json:"peer_timeout_ms,omitempty"`
 }
 
 // StoreHealth is the /healthz store block: occupancy, degraded-state
@@ -586,10 +574,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		status = "draining"
 	}
 	h := Health{
-		Status:        status,
-		Version:       buildinfo.Version(),
-		StoreState:    s.store.State(),
-		PeerTimeoutMS: s.cfg.PeerTimeout.Milliseconds(),
+		Status:     status,
+		Version:    buildinfo.Version(),
+		StoreState: s.store.State(),
 	}
 	// The store block reads the same registry /metrics renders; a family
 	// that is not registered (no disk tier, no scrubber) reads 0.
