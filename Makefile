@@ -2,19 +2,19 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check chaos bench bench-json golden-multicore golden-adaptive train experiments tools clean
+.PHONY: all build vet test test-short check chaos bench bench-json golden-classic golden-multicore golden-adaptive train experiments tools clean
 
 all: build vet test
 
 # PR gate: vet + full build + race-checked tests for the concurrent
 # runner, the simulation service, the tiered result store, the fleet
 # client, the multi-core system (parallel per-quantum core loop), the
-# metrics registry, and their callers, plus the chaos fault-injection
-# e2e suite.
+# metrics registry, the shared-prefix snapshot store (internal/core),
+# and their callers, plus the chaos fault-injection e2e suite.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
-	$(GO) test -race ./internal/runner ./internal/stats ./internal/simrun ./internal/resultstore ./internal/simserver ./internal/fleet ./internal/multicore ./internal/obs
+	$(GO) test -race ./internal/runner ./internal/stats ./internal/simrun ./internal/resultstore ./internal/simserver ./internal/fleet ./internal/multicore ./internal/obs ./internal/core
 	$(MAKE) chaos
 
 # Chaos suite: deterministic fault injection end to end (docs/chaos.md).
@@ -45,6 +45,13 @@ bench:
 # reads as the whole trajectory.
 bench-json: tools
 	./bin/simbench -out BENCH_PR9.json -baseline BENCH_PR8.json
+
+# Regenerate (or, in CI, verify — see .github/workflows/ci.yml) the
+# committed golden of the paper's own experiments: quick-scale Table 1,
+# Figure 7 and Figure 8 as JSON, byte-identical on every machine at any
+# worker count.
+golden-classic: tools
+	./bin/adts-sweep -table1 -fig7 -fig8 -mixes kitchen-sink,int-memory,mixed-lowipc -quanta 8 -intervals 1 -json > docs/results/classic-golden.json
 
 # Regenerate (or, in CI, verify — see .github/workflows/ci.yml) the
 # committed golden multi-core experiment: a quick 2-core allocation

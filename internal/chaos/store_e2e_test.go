@@ -12,10 +12,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
-	"repro/internal/simrun"
 	"repro/internal/simserver"
 )
 
@@ -60,49 +58,128 @@ func (w *digestFlipWriter) Flush() {
 	}
 }
 
+// batchGate holds each backend's first POST /v1/batch until every one
+// of n backends has received one, and turns away (429, Retry-After: 0)
+// a further batch that reaches a backend while the gate is shut. The
+// fleet client retries a turned-away chunk on another, less loaded
+// backend, so the first chunks land one per backend whatever the
+// timing and however the random test ports sort.
+type batchGate struct {
+	mu   sync.Mutex
+	n    int
+	held map[int]bool
+	open chan struct{}
+}
+
+func newBatchGate(n int) *batchGate {
+	return &batchGate{n: n, held: make(map[int]bool), open: make(chan struct{})}
+}
+
+func isBatch(r *http.Request) bool {
+	return r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/batch")
+}
+
+// wrap gates backend id's batch requests.
+func (g *batchGate) wrap(id int, next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if isBatch(r) && !g.pass(id) {
+			w.Header().Set("Retry-After", "0")
+			http.Error(w, "gate: backend already holds a batch", http.StatusTooManyRequests)
+			return
+		}
+		if isBatch(r) {
+			select {
+			case <-g.open:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		next.ServeHTTP(w, r)
+	})
+}
+
+// pass admits backend id's batch unless it already holds one behind the
+// shut gate; the last backend to arrive opens it.
+func (g *batchGate) pass(id int) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	select {
+	case <-g.open:
+		return true
+	default:
+	}
+	if g.held[id] {
+		return false
+	}
+	g.held[id] = true
+	if len(g.held) == g.n {
+		close(g.open)
+	}
+	return true
+}
+
+// killOnFirstLine is the victim's response writer: once the first
+// NDJSON line of a batch stream is out, kill runs.
+type killOnFirstLine struct {
+	http.ResponseWriter
+	kill func()
+}
+
+func (k *killOnFirstLine) Write(p []byte) (int, error) {
+	n, err := k.ResponseWriter.Write(p)
+	k.Flush()
+	k.kill()
+	return n, err
+}
+
+func (k *killOnFirstLine) Flush() {
+	if f, ok := k.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
 // TestBatchSweepSurvivesKilledAndCorruptBackends is the store/batch
 // acceptance test: a batch-dispatched sweep over three backends — one
 // killed mid-stream, one serving bit-flipped NDJSON digests — must
 // render byte-identical to the fault-free local run. The kill forces a
 // chunk retry (truncated stream, no trailer); the corruption forces
-// per-line rejection and per-item fallback.
+// per-line rejection and per-item fallback. A gate steers one of the
+// first three batch chunks to each backend, so both faults always fire.
 func TestBatchSweepSurvivesKilledAndCorruptBackends(t *testing.T) {
 	want := groundTruth(t)
+	gate := newBatchGate(3)
 
-	honest := startBackends(t, 1, simserver.Config{})
+	honestSrv := simserver.New(simserver.Config{Workers: 2})
+	honest := httptest.NewServer(gate.wrap(0, honestSrv.Handler()))
+	t.Cleanup(honest.Close)
 
-	// The victim simulates slowly so its first batch stream is still in
-	// flight when the kill lands; the kill closes every open connection
-	// and then the listener, exactly a SIGKILL's client-visible shape.
+	// The victim dies in the middle of its first batch stream: right
+	// after the first line, every client connection closes and then the
+	// listener does, exactly a SIGKILL's client-visible shape.
 	var killOnce sync.Once
-	victimSrv := simserver.New(simserver.Config{
-		Workers: 2,
-		Run: func(ctx context.Context, cfg core.Config) (core.Result, error) {
-			time.Sleep(2 * time.Millisecond)
-			return simrun.Run(ctx, cfg)
-		},
-	})
-	victim := httptest.NewServer(victimSrv.Handler())
-	t.Cleanup(victim.Close)
-	killer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/batch") {
-			killOnce.Do(func() {
-				go func() {
-					time.Sleep(5 * time.Millisecond)
+	killed := make(chan struct{})
+	victimSrv := simserver.New(simserver.Config{Workers: 2})
+	var victim *httptest.Server
+	victim = httptest.NewUnstartedServer(gate.wrap(1, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if isBatch(r) {
+			w = &killOnFirstLine{ResponseWriter: w, kill: func() {
+				killOnce.Do(func() {
 					victim.CloseClientConnections()
-					victim.Close()
-				}()
-			})
+					victim.Listener.Close()
+					close(killed)
+				})
+			}}
 		}
-		victim.Config.Handler.ServeHTTP(w, r)
-	}))
-	t.Cleanup(killer.Close)
+		victimSrv.Handler().ServeHTTP(w, r)
+	})))
+	victim.Start()
+	t.Cleanup(victim.Close)
 
 	liarSrv := simserver.New(simserver.Config{Workers: 2})
-	liar := httptest.NewServer(corruptDigests{next: liarSrv.Handler()})
+	liar := httptest.NewServer(gate.wrap(2, corruptDigests{next: liarSrv.Handler()}))
 	t.Cleanup(liar.Close)
 
-	urls := []string{honest[0], killer.URL, liar.URL}
+	urls := []string{honest.URL, victim.URL, liar.URL}
 	peers, err := fleet.NewPeerLookup(urls, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -137,5 +214,10 @@ func TestBatchSweepSurvivesKilledAndCorruptBackends(t *testing.T) {
 	}
 	if strings.Contains(m, "fleet_batch_item_fallback_total 0\n") {
 		t.Fatalf("no batch item fell back to per-item dispatch — corruption path unexercised:\n%s", m)
+	}
+	select {
+	case <-killed:
+	default:
+		t.Fatal("the victim never received a batch — kill path unexercised")
 	}
 }

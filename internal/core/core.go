@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	// Link the adaptive selectors (bandit, ucb, learned) into every
 	// binary that can construct a simulator; detector.New needs their
@@ -307,11 +308,7 @@ func RunMany(cfgs []Config) ([]Result, error) {
 			// mirrors Simulator.Run's default: sizing off a zero
 			// Detector.Quantum would record a prefix far shorter than the
 			// run it serves.
-			quantum := cfg.Detector.Quantum
-			if quantum <= 0 {
-				quantum = 8192
-			}
-			per := cfg.FastForward + int64(cfg.Quanta)*quantum
+			per := cfg.FastForward + int64(cfg.Quanta)*cfg.quantum()
 			if per > 65536 {
 				per = 65536
 			}
@@ -371,18 +368,9 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 			return nil, err
 		}
 	}
-	mc := cfg.Machine
-	switch cfg.Mode {
-	case ModeFixed:
-		mc.InitialPolicy = cfg.FixedPolicy
-	case ModeADTS:
-		mc.InitialPolicy = cfg.Detector.InitialPolicy
-	case ModeOracle:
-		mc.InitialPolicy = policy.ICOUNT
-	}
 	s := &Simulator{
 		cfg:     cfg,
-		m:       pipeline.Acquire(mc, progs, cfg.Seed),
+		m:       pipeline.Acquire(cfg.machine(), progs, cfg.Seed),
 		prevCum: make([]counters.Counters, len(progs)),
 	}
 	if cfg.Mode == ModeADTS {
@@ -478,22 +466,16 @@ func (s *Simulator) Start() {
 	if s.started {
 		return
 	}
-	s.started = true
-	s.quantum = s.cfg.Detector.Quantum
-	if s.quantum <= 0 {
-		s.quantum = 8192
-	}
-
+	s.begin()
 	s.m.Run(s.cfg.FastForward)
-	// Measurement baseline.
-	s.startCycle = s.m.Now()
-	s.startCommitted = s.m.TotalCommitted()
-	s.startCum = make([]counters.Counters, s.m.NumThreads())
-	for i := range s.startCum {
-		s.startCum[i] = s.m.State(i).Cum
-		s.prevCum[i] = s.startCum[i]
-	}
+	s.markBaseline()
+}
 
+// begin starts the result; the machine is untouched.
+func (s *Simulator) begin() {
+	s.started = true
+	s.quantum = s.cfg.quantum()
+	s.startCum = make([]counters.Counters, s.m.NumThreads())
 	s.res = Result{
 		Mix:     s.cfg.MixName,
 		Mode:    s.cfg.Mode,
@@ -507,11 +489,27 @@ func (s *Simulator) Start() {
 	}
 }
 
+// markBaseline takes the measurement baseline at the current cycle.
+func (s *Simulator) markBaseline() {
+	s.startCycle = s.m.Now()
+	s.startCommitted = s.m.TotalCommitted()
+	for i := range s.startCum {
+		s.startCum[i] = s.m.State(i).Cum
+	}
+	copy(s.prevCum, s.startCum)
+}
+
 // StepQuantum advances the machine one scheduling quantum — including
 // the end-of-quantum detector/oracle action — and returns the quantum's
 // aggregate IPC. Start must have been called. A full run is Start, then
 // Quanta steps, then Finish; Run packages exactly that.
 func (s *Simulator) StepQuantum() float64 {
+	s.advance()
+	return s.endQuantum()
+}
+
+// advance simulates one quantum.
+func (s *Simulator) advance() {
 	// STALLCOUNT keys on the running quantum's stalls.
 	for i := 0; i < s.m.NumThreads(); i++ {
 		s.m.State(i).QuantumStalls = 0
@@ -521,6 +519,11 @@ func (s *Simulator) StepQuantum() float64 {
 	} else {
 		s.m.Run(s.quantum)
 	}
+}
+
+// endQuantum records the quantum just simulated and takes the
+// end-of-quantum detector action.
+func (s *Simulator) endQuantum() float64 {
 	deltas := s.snapshotDelta()
 	qs := s.quantumStats(deltas, s.quantum)
 	s.lastQ = qs
@@ -600,11 +603,102 @@ func (s *Simulator) Finish() Result {
 }
 
 // Run executes fast-forward plus the measured quanta and returns the
-// collected result.
+// collected result. Runs of one Family share their fast-forward and
+// first quantum: the first to get there stores a snapshot of the
+// machine before quantum 1's end-of-quantum action, and the others
+// restore it instead of simulating those cycles again. Results are
+// identical either way.
 func (s *Simulator) Run() Result {
-	s.Start()
-	for qi := 0; qi < s.cfg.Quanta; qi++ {
+	first := 0
+	if f, ok := s.cfg.Family(); ok && !s.started {
+		s.runPrefix(f)
+		s.endQuantum()
+		first = 1
+	} else {
+		s.Start()
+	}
+	for qi := first; qi < s.cfg.Quanta; qi++ {
 		s.StepQuantum()
 	}
 	return s.Finish()
+}
+
+// runPrefix brings the machine to the end of quantum 1, before its
+// end-of-quantum action: from the family's snapshot when one is stored,
+// else by simulating fast-forward and the quantum and storing the
+// snapshot.
+func (s *Simulator) runPrefix(f Family) {
+	s.begin()
+	if pipeline.RestoreSnapshot(f, s.m, s.startCum) {
+		prefixHits.Add(1)
+		s.startCycle = s.m.Now() - s.quantum
+		for _, c := range s.startCum {
+			s.startCommitted += c.Committed
+		}
+		copy(s.prevCum, s.startCum)
+		return
+	}
+	s.m.Run(s.cfg.FastForward)
+	s.markBaseline()
+	s.advance()
+	pipeline.SaveSnapshot(f, s.m, s.startCum)
+}
+
+// prefixHits counts runs that restored a stored prefix (tests read it).
+var prefixHits atomic.Uint64
+
+// Family identifies the runs whose fast-forward and first quantum are
+// cycle-for-cycle identical: same effective machine configuration
+// (which carries the initial fetch policy), workload, seed,
+// fast-forward and quantum length. Nothing outside the machine acts on
+// it before the first end-of-quantum action, so the detector's
+// heuristic, threshold or kernel do not enter. Family values are
+// comparable.
+type Family struct {
+	machine     pipeline.Config
+	mix         string
+	threads     int
+	seed        uint64
+	fastForward int64
+	quantum     int64
+}
+
+// Family returns c's family and whether Run shares its prefix at all:
+// runs with explicit Programs (whose stream the key cannot name), oracle
+// runs (whose first quantum looks ahead) and multi-core configs never do.
+func (c Config) Family() (Family, bool) {
+	if c.Programs != nil || c.Mode == ModeOracle || c.Cores > 1 || c.Quanta < 1 {
+		return Family{}, false
+	}
+	return Family{
+		machine:     c.machine(),
+		mix:         c.MixName,
+		threads:     c.Threads,
+		seed:        c.Seed,
+		fastForward: c.FastForward,
+		quantum:     c.quantum(),
+	}, true
+}
+
+// machine returns the pipeline configuration with the mode's initial
+// fetch policy.
+func (c Config) machine() pipeline.Config {
+	mc := c.Machine
+	switch c.Mode {
+	case ModeFixed:
+		mc.InitialPolicy = c.FixedPolicy
+	case ModeADTS:
+		mc.InitialPolicy = c.Detector.InitialPolicy
+	case ModeOracle:
+		mc.InitialPolicy = policy.ICOUNT
+	}
+	return mc
+}
+
+// quantum returns the scheduling quantum in cycles (8192 by default).
+func (c Config) quantum() int64 {
+	if c.Detector.Quantum <= 0 {
+		return 8192
+	}
+	return c.Detector.Quantum
 }

@@ -141,14 +141,52 @@ func (o Options) OracleConfig(mix string, interval int) core.Config {
 
 // runAll executes the jobs through the resilient runner with the
 // options' worker bound, checkpoint, progress writer, hook, and
-// executor (nil = local simulation).
+// executor (nil = local simulation). The runner receives the jobs
+// family by family (core.Family), so runs that share a warm-up are
+// scheduled close together and restore its snapshot instead of
+// simulating it again; results come back in input order.
 func (o Options) runAll(ctx context.Context, jobs []stats.Job) ([]core.Result, error) {
-	return runner.RunWith(ctx, stats.RunnerJobs(jobs), runner.Options{
+	order := familyOrder(jobs)
+	grouped := make([]stats.Job, len(jobs))
+	for k, i := range order {
+		grouped[k] = jobs[i]
+	}
+	res, err := runner.RunWith(ctx, stats.RunnerJobs(grouped), runner.Options{
 		Workers:    o.Workers,
 		Checkpoint: o.Checkpoint,
 		Progress:   o.Progress,
 		Hook:       o.RunHook,
 	}, o.Executor)
+	out := make([]core.Result, len(order))
+	for k, i := range order {
+		out[i] = res[k]
+	}
+	return out, err
+}
+
+// familyOrder returns the job indices grouped by core.Family: families
+// in order of first appearance, jobs within one in input order. A job
+// outside every family is a family of its own.
+func familyOrder(jobs []stats.Job) []int {
+	index := make(map[core.Family]int)
+	var groups [][]int
+	for i, j := range jobs {
+		f, ok := j.Config.Family()
+		g, seen := index[f]
+		if !ok || !seen {
+			g = len(groups)
+			groups = append(groups, nil)
+			if ok {
+				index[f] = g
+			}
+		}
+		groups[g] = append(groups[g], i)
+	}
+	order := make([]int, 0, len(jobs))
+	for _, g := range groups {
+		order = append(order, g...)
+	}
+	return order
 }
 
 // meanByMix averages per-interval results grouped by mix name and

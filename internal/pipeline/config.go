@@ -147,6 +147,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pipeline: queue sizes must be positive")
 	case c.ROBPerThr <= 0 || c.LSQSize <= 0:
 		return fmt.Errorf("pipeline: ROB and LSQ sizes must be positive")
+	case c.ROBPerThr+maxDepWindow >= doneRing:
+		return fmt.Errorf("pipeline: ROBPerThr must be < %d (the completion ring's reach)", doneRing-maxDepWindow)
 	case c.MSHRs < 0:
 		return fmt.Errorf("pipeline: MSHRs must be >= 0 (0 = unlimited)")
 	case c.IntRegs <= 0 || c.FPRegs <= 0:

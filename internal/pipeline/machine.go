@@ -18,8 +18,12 @@ const (
 	// doneRing is the per-thread completion-ring size. Dependency
 	// distances larger than maxDepWindow are treated as already
 	// satisfied (the producer left the pipeline long ago), so ring
-	// slots are never consulted stale.
-	doneRing     = 2048
+	// slots are never consulted stale: a producer's slot is reused only
+	// by the instruction doneRing later in program order, and a
+	// consumer at most maxDepWindow younger stays in flight for at most
+	// ROBPerThr further dispatches. Config.Validate enforces
+	// maxDepWindow + ROBPerThr < doneRing.
+	doneRing     = 1024
 	maxDepWindow = 512
 
 	// eventRing buckets completion events by cycle; it must exceed the
@@ -251,10 +255,12 @@ func (q *issueQ) copyFrom(src *issueQ) {
 	q.count = src.count
 }
 
+// event is a pending completion. Fields run widest first so the struct
+// packs into 16 bytes.
 type event struct {
-	tid    int8
 	robIdx uint64
 	gen    uint32
+	tid    int8
 }
 
 // thread is one normal hardware context.
@@ -402,7 +408,7 @@ type Machine struct {
 	fbShift, icShift uint8
 }
 
-const doneRingShift = 11 // log2(doneRing)
+const doneRingShift = 10 // log2(doneRing)
 
 // fetchBlockOf returns pc's fetch-block id.
 func (m *Machine) fetchBlockOf(pc uint64) uint64 {

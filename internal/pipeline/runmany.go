@@ -85,15 +85,17 @@ func Release(m *Machine) {
 	pools[key] = append(shells, m)
 }
 
-// DrainPools drops every pooled machine shell. Sweep drivers call it
-// between phases with disjoint geometry sets so the previous phase's
-// shells do not sit resident through the next one; it is also the
-// test seam for pool-bound assertions.
+// DrainPools drops every pooled machine shell and every prefix
+// snapshot. Sweep drivers call it between phases with disjoint geometry
+// sets so the previous phase's shells do not sit resident through the
+// next one; it is also the test seam for pool-bound assertions, and
+// the way a benchmark starts cold.
 func DrainPools() {
 	poolMu.Lock()
 	pools = map[shellKey][]*Machine{}
 	poolOrder = nil
 	poolMu.Unlock()
+	dropSnapshots()
 }
 
 // PoolCount returns the number of distinct geometries currently pooled

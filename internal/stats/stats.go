@@ -30,18 +30,21 @@ type Job struct {
 func RunnerJobs(jobs []Job) []runner.Job[core.Result] {
 	rjobs := make([]runner.Job[core.Result], len(jobs))
 	for i, j := range jobs {
-		j := j
+		// Run reads the config back out of the payload, so a queued job
+		// holds one copy of it, not two.
+		var payload any = j.Config
 		rjobs[i] = runner.Job[core.Result]{
 			Name:    j.Name,
 			Key:     runner.KeyOf(j.Name, j.Config),
-			Payload: j.Config,
+			Payload: payload,
 			Run: func(context.Context) (core.Result, error) {
+				cfg := payload.(core.Config)
 				// Multi-core configs fan out through internal/multicore;
 				// the aggregate system view keeps the Result shape.
-				if j.Config.Cores > 1 {
-					return multicore.RunConfig(j.Config)
+				if cfg.Cores > 1 {
+					return multicore.RunConfig(cfg)
 				}
-				sim, err := core.NewSimulator(j.Config)
+				sim, err := core.NewSimulator(cfg)
 				if err != nil {
 					return core.Result{}, err
 				}
