@@ -3,7 +3,6 @@ package adaptive
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/detector"
 	"repro/internal/policy"
@@ -227,19 +226,4 @@ func DecodeTable(b []byte) (*Table, error) {
 		return nil, err
 	}
 	return &t, nil
-}
-
-// SortSamples orders samples canonically (context, policy, IPC) —
-// handy for tests and for writers that want reproducible dumps.
-func SortSamples(samples []Sample) {
-	sort.Slice(samples, func(i, j int) bool {
-		a, b := samples[i], samples[j]
-		if a.Context != b.Context {
-			return a.Context < b.Context
-		}
-		if a.Policy != b.Policy {
-			return a.Policy < b.Policy
-		}
-		return a.IPC < b.IPC
-	})
 }

@@ -2,13 +2,11 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/detector"
 	"repro/internal/dtvm"
 	"repro/internal/policy"
-	"repro/internal/trace"
 )
 
 func short(mix string) Config {
@@ -264,112 +262,5 @@ func TestKernelDryRunCatchesBrokenKernels(t *testing.T) {
 	cfg.Kernel = prog
 	if _, err := NewSimulator(cfg); err == nil {
 		t.Fatal("runaway kernel accepted")
-	}
-}
-
-// TestRunManyMatchesIndividual pins the batch seam: a policy sweep over
-// one workload through RunMany (pooled shells + cached traces) must
-// produce exactly the results of independent Simulators.
-func TestRunManyMatchesIndividual(t *testing.T) {
-	trace.FlushTraceCache()
-	defer trace.FlushTraceCache()
-
-	var cfgs []Config
-	for _, p := range []policy.Policy{policy.ICOUNT, policy.RR, policy.BRCOUNT} {
-		cfg := DefaultConfig("kitchen-sink")
-		cfg.Quanta = 4
-		cfg.FixedPolicy = p
-		cfgs = append(cfgs, cfg)
-	}
-
-	batch, err := RunMany(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		sim, err := NewSimulator(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := sim.Run()
-		sim.Close()
-		if batch[i].AggregateIPC != res.AggregateIPC || batch[i].Committed != res.Committed {
-			t.Fatalf("config %d (%s): RunMany IPC=%v committed=%d, individual IPC=%v committed=%d",
-				i, cfg.FixedPolicy, batch[i].AggregateIPC, batch[i].Committed, res.AggregateIPC, res.Committed)
-		}
-	}
-}
-
-// TestRunManyMixedRunLengths pins the trace-cache prefix seam: the
-// cache is keyed on (mix, threads, seed) but the recorded prefix length
-// is sized from each config's own FastForward/Quanta, so a batch can
-// cache a SHORT workload's prefix first and then serve a LONG run of
-// the same key. The cache must re-record the longer prefix (and replay
-// past any prefix bit-identically) — every result must equal an
-// independent, uncached Simulator's.
-func TestRunManyMixedRunLengths(t *testing.T) {
-	trace.FlushTraceCache()
-	defer trace.FlushTraceCache()
-
-	shortCfg := DefaultConfig("int-memory")
-	shortCfg.Threads = 2
-	shortCfg.FastForward = 0
-	shortCfg.Quanta = 2 // per-thread prefix request: 16384 cycles
-
-	longCfg := shortCfg
-	longCfg.FastForward = 4096
-	longCfg.Quanta = 6 // 53248 cycles: forces a prefix re-record
-
-	// Same (mix, threads, seed) key throughout; short first so the
-	// short prefix lands in the cache before the long run asks for
-	// more, then short again to read back the regrown recording.
-	cfgs := []Config{shortCfg, longCfg, shortCfg}
-	batch, err := RunMany(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		sim, err := NewSimulator(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := sim.Run()
-		sim.Close()
-		if !reflect.DeepEqual(batch[i], res) {
-			t.Fatalf("config %d (quanta=%d ff=%d): RunMany result diverged from individual run\nbatch: IPC=%v committed=%d\nindiv: IPC=%v committed=%d",
-				i, cfg.Quanta, cfg.FastForward, batch[i].AggregateIPC, batch[i].Committed, res.AggregateIPC, res.Committed)
-		}
-	}
-}
-
-// TestRunManyDefaultQuantumPrefix guards the prefix-length computation
-// itself: a config relying on the run loop's implicit 8192-cycle
-// default quantum (Detector.Quantum == 0 in fixed mode) must size its
-// recorded prefix from that same default, not from zero.
-func TestRunManyDefaultQuantumPrefix(t *testing.T) {
-	trace.FlushTraceCache()
-	defer trace.FlushTraceCache()
-
-	cfg := DefaultConfig("int-compute")
-	cfg.Threads = 2
-	cfg.FastForward = 0
-	cfg.Quanta = 3
-	cfg.Detector = detector.Config{} // fixed mode ignores it; quantum defaults to 8192
-
-	batch, err := RunMany([]Config{cfg, cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := NewSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := sim.Run()
-	sim.Close()
-	for i := range batch {
-		if !reflect.DeepEqual(batch[i], res) {
-			t.Fatalf("run %d with default quantum diverged: batch IPC=%v, individual IPC=%v",
-				i, batch[i].AggregateIPC, res.AggregateIPC)
-		}
 	}
 }

@@ -13,38 +13,62 @@ import (
 	"repro/internal/simrun"
 )
 
+// retryAfterNow and retryAfterMax are the clock and cap of the
+// Retry-After table; FuzzParseRetryAfter seeds its corpus from the same
+// cases.
+var (
+	retryAfterNow = time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
+	retryAfterMax = 30 * time.Second
+)
+
+var retryAfterCases = []struct {
+	name string
+	in   string
+	want time.Duration
+}{
+	{"empty", "", 0},
+	{"seconds", "2", 2 * time.Second},
+	{"seconds with spaces", "  5  ", 5 * time.Second},
+	{"zero", "0", 0},
+	{"negative", "-30", 0},
+	{"huge", "86400", retryAfterMax},
+	{"overflowing", "999999999999999999", retryAfterMax},
+	{"overflowing past int64 seconds", "99999999999999999999999999", 0}, // Atoi fails, not a date either
+	{"http date future", retryAfterNow.Add(4 * time.Second).Format(http.TimeFormat), 4 * time.Second},
+	{"http date past", retryAfterNow.Add(-time.Hour).Format(http.TimeFormat), 0},
+	{"http date far future", retryAfterNow.Add(48 * time.Hour).Format(http.TimeFormat), retryAfterMax},
+	{"garbage", "soon", 0},
+	{"float", "1.5", 0},
+}
+
 // TestParseRetryAfter: hostile and malformed Retry-After values must
 // never stall a shard — negatives and garbage collapse to 0, huge
 // values and far-future dates cap at max.
 func TestParseRetryAfter(t *testing.T) {
-	now := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	const max = 30 * time.Second
-	tests := []struct {
-		name string
-		in   string
-		want time.Duration
-	}{
-		{"empty", "", 0},
-		{"seconds", "2", 2 * time.Second},
-		{"seconds with spaces", "  5  ", 5 * time.Second},
-		{"zero", "0", 0},
-		{"negative", "-30", 0},
-		{"huge", "86400", max},
-		{"overflowing", "999999999999999999", max},
-		{"overflowing past int64 seconds", "99999999999999999999999999", 0}, // Atoi fails, not a date either
-		{"http date future", now.Add(4 * time.Second).Format(http.TimeFormat), 4 * time.Second},
-		{"http date past", now.Add(-time.Hour).Format(http.TimeFormat), 0},
-		{"http date far future", now.Add(48 * time.Hour).Format(http.TimeFormat), max},
-		{"garbage", "soon", 0},
-		{"float", "1.5", 0},
-	}
-	for _, tt := range tests {
+	for _, tt := range retryAfterCases {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := parseRetryAfter(tt.in, now, max); got != tt.want {
+			if got := parseRetryAfter(tt.in, retryAfterNow, retryAfterMax); got != tt.want {
 				t.Errorf("parseRetryAfter(%q) = %v, want %v", tt.in, got, tt.want)
 			}
 		})
 	}
+}
+
+// FuzzParseRetryAfter: for any header value, clock and cap max >= 0,
+// parseRetryAfter never panics and returns a wait in [0, max].
+func FuzzParseRetryAfter(f *testing.F) {
+	for _, tt := range retryAfterCases {
+		f.Add(tt.in, retryAfterNow.UnixNano(), int64(retryAfterMax))
+	}
+	f.Fuzz(func(t *testing.T, in string, nowNs, maxNs int64) {
+		if maxNs < 0 {
+			maxNs = ^maxNs // maps [MinInt64, -1] onto [0, MaxInt64]
+		}
+		now, max := time.Unix(0, nowNs).UTC(), time.Duration(maxNs)
+		if d := parseRetryAfter(in, now, max); d < 0 || d > max {
+			t.Fatalf("parseRetryAfter(%q, %v, %v) = %v, outside [0, max]", in, now, max, d)
+		}
+	})
 }
 
 // digestReply answers /v1/runcfg with the given result and a digest —

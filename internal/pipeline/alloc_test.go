@@ -141,38 +141,3 @@ func TestCachedTraceMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestRunManyMatchesIndividualRuns: the batch path must produce exactly
-// the machines a loop of New+Run would, while reusing one shell.
-func TestRunManyMatchesIndividualRuns(t *testing.T) {
-	cfg := DefaultConfig()
-	names := []string{"kitchen-sink", "int-memory", "kitchen-sink"}
-	// Programs are consumed by the machine that runs them (New binds the
-	// caller's pointers), so each leg generates its own.
-	gen := func(name string) []*trace.Program {
-		mix, ok := trace.MixByName(name)
-		if !ok {
-			t.Fatalf("unknown mix %s", name)
-		}
-		progs, err := mix.Programs(8, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return progs
-	}
-
-	work := make([]Workload, len(names))
-	for i, name := range names {
-		work[i] = Workload{Programs: gen(name), Seed: 11, Cycles: 20000}
-	}
-	batch := make([]uint64, len(work))
-	RunMany(cfg, work, func(i int, m *Machine) { batch[i] = m.TotalCommitted() })
-
-	for i, name := range names {
-		m := New(cfg, gen(name), 11)
-		m.Run(work[i].Cycles)
-		if got := m.TotalCommitted(); batch[i] != got {
-			t.Fatalf("workload %d: RunMany committed %d, individual run %d", i, batch[i], got)
-		}
-	}
-}

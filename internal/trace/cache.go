@@ -5,17 +5,19 @@ import (
 	"sync"
 )
 
-// This file implements the shared trace cache behind CachedPrograms —
-// the "decode once" half of batch simulation. A sweep point re-runs the
-// same (mix, threads, seed) workload under many policies, thresholds
-// and machine configs; the instruction stream is identical every time,
-// because a Program is self-contained and machine-independent. Paying
-// the generator (PRNG draws, geometric dependency sampling, address
-// synthesis) per run is therefore pure waste. CachedPrograms records
-// the stream's prefix once and hands out replay-backed Programs that
-// serve it as plain slice reads; past the prefix they fall back to live
-// generation from the recorded post-prefix state, so results are
-// bit-identical to never-cached runs at any run length.
+// This file implements the shared trace cache behind CachedPrograms.
+// A caller that re-runs the same (mix, threads, seed) workload under
+// many policies, thresholds or machine configs sees an identical
+// instruction stream every time, because a Program is self-contained
+// and machine-independent, so paying the generator (PRNG draws,
+// geometric dependency sampling, address synthesis) per run is waste.
+// CachedPrograms records the stream's prefix once and hands out
+// replay-backed Programs that serve it as plain slice reads; past the
+// prefix they fall back to live generation from the recorded
+// post-prefix state, so results are bit-identical to never-cached runs
+// at any run length. Sweeps do not use it: they synthesise live and
+// share fast-forward plus the first quantum through core's prefix
+// snapshots. perfbench's replayed-cycle layer does.
 
 // cacheKey identifies one recorded workload.
 type cacheKey struct {

@@ -102,3 +102,39 @@ func TestCachedProgramsGrowsPrefix(t *testing.T) {
 		t.Fatalf("prefix length = %d after growth request, want 500", got)
 	}
 }
+
+// TestTraceCacheBounded: recording one more distinct (mix, threads,
+// seed) key than maxCachedTraces leaves at most maxCachedTraces
+// recordings resident, and the newest one is served from the cache
+// rather than re-recorded.
+func TestTraceCacheBounded(t *testing.T) {
+	FlushTraceCache()
+	defer FlushTraceCache()
+
+	var newest cacheKey
+	for seed := uint64(1); seed <= maxCachedTraces+1; seed++ {
+		if _, err := CachedPrograms("int-compute", 2, seed, 16); err != nil {
+			t.Fatal(err)
+		}
+		newest = cacheKey{mix: "int-compute", threads: 2, seed: seed}
+	}
+
+	cacheMu.Lock()
+	resident, recorded := len(traceCache), traceCache[newest]
+	cacheMu.Unlock()
+	if resident > maxCachedTraces {
+		t.Fatalf("%d recordings resident after %d keys, bound is %d", resident, maxCachedTraces+1, maxCachedTraces)
+	}
+	if recorded == nil {
+		t.Fatal("newest recording was evicted")
+	}
+	if _, err := CachedPrograms(newest.mix, newest.threads, newest.seed, 16); err != nil {
+		t.Fatal(err)
+	}
+	cacheMu.Lock()
+	again := traceCache[newest]
+	cacheMu.Unlock()
+	if again != recorded {
+		t.Fatal("newest key was re-recorded instead of hit")
+	}
+}

@@ -47,8 +47,8 @@ type Program struct {
 	depLogQ []float64
 
 	// replay, when non-nil, is an immutable recorded prefix of this
-	// exact stream (see Record/CachedPrograms): Next serves instructions
-	// from it instead of re-deriving them, which is what lets a sweep
+	// exact stream (see CachedPrograms): Next serves instructions
+	// from it instead of re-deriving them, which is what lets a caller
 	// re-simulating one workload under many policies pay the generator
 	// cost once. replayEnd is the frozen generator state at the end of
 	// the prefix; when the prefix runs out the program adopts it and
